@@ -27,11 +27,10 @@ from .circuit import (
     kcl_residual,
     simulate,
 )
-from .metrics import FeatureReport, amplitude_spectrum, rmse_per_feature, rmse_report
+from .metrics import FeatureReport, amplitude_spectrum, rmse_report
 from .nn import (
     AutoencoderParams,
     NetConfig,
-    autoencoder_forward,
     forward_steps,
     init_params,
     lift_params,
@@ -49,7 +48,7 @@ from .preprocess import (
     sliding_windows,
     transform,
 )
-from .reconstruct import ReconstructionResult, ReconstructionSpec, reconstruct, refine
+from .reconstruct import ReconstructionResult, ReconstructionSpec, reconstruct
 from .training import (
     DivergenceError,
     EvalReport,

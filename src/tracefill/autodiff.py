@@ -480,20 +480,6 @@ class Tape:
             out[var] = np.array(g, copy=True) if g is not None else np.zeros_like(value)
         return out
 
-    def replay(self) -> bool:
-        """Recompute every node from the leaves; True if all values match bitwise."""
-        recomputed: list[Array] = []
-        for node in self._nodes:
-            if node.op == "leaf":
-                recomputed.append(node.value)
-                continue
-            values = [recomputed[i] for i in node.inputs]
-            recomputed.append(_OPS[node.op].forward(values, node.kwargs))
-        return all(
-            fresh.shape == node.value.shape and bool((fresh == node.value).all())
-            for fresh, node in zip(recomputed, self._nodes)
-        )
-
 
 def grad_check(f: Callable[[Tape, Var], Var], x, eps: float = 1e-6) -> float:
     """Compare analytic gradients of ``f`` against central finite differences.

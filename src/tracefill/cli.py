@@ -22,8 +22,7 @@ import numpy as np
 
 from . import circuit, fileio, metrics, preprocess
 from .autodiff import NonFiniteError, ShapeError, Tape, grad_check, run_op_checks
-from .nn import NetConfig, forward_steps, init_params, lift_params
-from .optim import reduced_loss
+from .nn import NetConfig, init_params, lift_params, windowed_loss
 from .reconstruct import ReconstructionSpec, reconstruct
 from .rng import Xoshiro256
 from .training import DivergenceError, TrainConfig, train
@@ -149,8 +148,11 @@ def _parse_weights(text: str | None) -> dict[str, float]:
         if "=" not in part:
             raise CliError(f"weights must look like name=value, got {part!r}")
         name, value = part.split("=", 1)
+        name = name.strip()
+        if name in out:
+            raise CliError(f"weight for {name!r} given twice")
         try:
-            out[name.strip()] = float(value)
+            out[name] = float(value)
         except ValueError:
             raise CliError(f"bad weight value in {part!r}") from None
     return out
@@ -261,34 +263,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def end_to_end_gradcheck(seed: int = 0, n_samples: int = 12) -> float:
-    """Reduced-loss gradient w.r.t. a missing column vs finite differences.
+    """Reconstruction-objective gradient vs finite differences.
 
     Builds a small untrained model and random available columns, then
-    differentiates the windowed reconstruction loss by the missing-column
-    leaf, exactly as the reconstruction loop does.
+    differentiates ``windowed_loss``, the function reconstruction runs, by
+    the missing-column leaf. The weights are not all 1 and the missing
+    column's is 0, so the column weighting is checked too.
     """
     net_cfg = NetConfig(n_features=4, seq_len=3, lstm_hidden=8, latent_dim=2)
     params = init_params(net_cfg, seed)
     rng = Xoshiro256(seed + 1)
     avail = [rng.uniform(0.0, 1.0, n_samples) for _ in range(3)]
     missing0 = rng.uniform(0.0, 1.0, n_samples)
-    num_windows = n_samples - net_cfg.seq_len + 1
+    weights = (1.5, 0.0, 0.5, 2.0)
 
     def f(tape: Tape, x):
         net = lift_params(tape, params, requires_grad=False)
-        columns = [x if j == 1 else tape.leaf(avail[j if j == 0 else j - 1][:, None])
-                   for j in range(4)]
-        series = tape.concat_cols(columns)
-        xs = [tape.slice_rows(series, t, t + num_windows)
-              for t in range(net_cfg.seq_len)]
-        detail = forward_steps(tape, net, xs)
-        target = tape.concat_rows(xs)
-        output = tape.concat_rows(detail.outputs)
-        avail_idx = (0, 2, 3)
-        return reduced_loss(
-            tape, tape.slice_cols(target, avail_idx),
-            tape.slice_cols(output, avail_idx), None,
-        )
+        columns = [tape.leaf(a[:, None]) for a in avail]
+        series = tape.concat_cols([columns[0], x, *columns[1:]])
+        return windowed_loss(tape, net, series, net_cfg.seq_len, weights)[0]
 
     return grad_check(f, missing0[:, None], eps=1e-5)
 

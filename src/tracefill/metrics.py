@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import TimeSeriesSet
-
 
 @dataclass(frozen=True)
 class FeatureReport:
@@ -41,23 +39,6 @@ def rmse_report(name: str, reference: np.ndarray,
     return FeatureReport(name, mse, rmse, rel)
 
 
-def rmse_per_feature(reference: TimeSeriesSet,
-                     candidate: TimeSeriesSet) -> list[FeatureReport]:
-    if reference.feature_names != candidate.feature_names:
-        raise ValueError(
-            f"feature names differ: {reference.feature_names} vs "
-            f"{candidate.feature_names}"
-        )
-    if reference.n_samples != candidate.n_samples:
-        raise ValueError(
-            f"lengths differ: {reference.n_samples} vs {candidate.n_samples}"
-        )
-    return [
-        rmse_report(name, reference.column(name), candidate.column(name))
-        for name in reference.feature_names
-    ]
-
-
 def dft(series: np.ndarray) -> np.ndarray:
     """Full complex DFT by direct evaluation, X_k = sum_t x_t e^{-2pi i kt/T}."""
     x = np.asarray(series, dtype=np.float64)
@@ -66,13 +47,6 @@ def dft(series: np.ndarray) -> np.ndarray:
     T = x.size
     angle = -2.0 * np.pi / T * np.outer(np.arange(T), np.arange(T))
     return (np.cos(angle) @ x) + 1j * (np.sin(angle) @ x)
-
-
-def spectral_energy(series: np.ndarray) -> tuple[float, float]:
-    """Time-domain energy and (1/T)-scaled transform energy; these agree."""
-    x = np.asarray(series, dtype=np.float64)
-    spectrum = dft(x)
-    return float((x * x).sum()), float((np.abs(spectrum) ** 2).sum() / x.size)
 
 
 def amplitude_spectrum(series: np.ndarray,

@@ -9,7 +9,8 @@ state starts at zero.
 Forward passes are expressed once, batched across windows: at step ``t``
 the input is a ``[num_windows, n_features]`` matrix. A single window is
 the ``num_windows == 1`` special case, so every code path shares the same
-tape ops.
+tape ops. ``windowed_loss`` is the one objective that training (over the
+weights) and reconstruction (over a missing column) both minimize.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tape, Var
+from .optim import reduced_loss
 from .rng import Xoshiro256
 
 # Gate blocks inside stacked LSTM parameters, in fixed order:
@@ -260,9 +262,28 @@ def forward_steps(tape: Tape, net: AutoencoderLeaves,
     return ForwardDetail(outputs=outputs, latents=latents)
 
 
-def autoencoder_forward(tape: Tape, net: AutoencoderLeaves, window: Var) -> Var:
-    """Forward one window ``[seq_len, n]`` to its reconstruction ``[seq_len, n]``."""
-    seq_len = window.shape[0]
-    xs = [tape.slice_rows(window, t, t + 1) for t in range(seq_len)]
-    detail = forward_steps(tape, net, xs)
-    return tape.concat_rows(detail.outputs)
+def windowed_forward(tape: Tape, net: AutoencoderLeaves, series: Var,
+                     seq_len: int) -> tuple[list[Var], list[Var]]:
+    """Forward every stride-1 window of a [T, n] series as one batch.
+
+    Step ``t`` of every window is the row block [t, t + T - seq_len + 1) of
+    the series, taken with one differentiable slice, so a sample that sits
+    in k windows receives k gradient contributions. Returns the per-step
+    inputs and outputs, each ``[num_windows, n]``.
+    """
+    num_windows = series.shape[0] - seq_len + 1
+    xs = [tape.slice_rows(series, t, t + num_windows) for t in range(seq_len)]
+    return xs, forward_steps(tape, net, xs).outputs
+
+
+def windowed_loss(tape: Tape, net: AutoencoderLeaves, series: Var,
+                  seq_len: int, weights: Sequence[float]) -> tuple[Var, list[Var]]:
+    """The objective of training and reconstruction, plus the step outputs.
+
+    Sum over features j of ``weights[j]`` times the mean-square error
+    between the inputs and outputs of every stride-1 window of ``series``
+    in column j. A feature with weight 0 does not enter the loss.
+    """
+    xs, outputs = windowed_forward(tape, net, series, seq_len)
+    loss = reduced_loss(tape, tape.concat_rows(xs), tape.concat_rows(outputs), weights)
+    return loss, outputs

@@ -1,9 +1,11 @@
 """Losses on the tape and the Adam optimizer.
 
-``reduced_loss`` is the objective used when some feature columns are
-unavailable: it sums per-feature mean-square errors over the remaining
-columns only, optionally weighted, so values in the excluded columns can
-never influence it.
+``reduced_loss`` is the one place that decides which feature columns count:
+it takes one weight per column and returns the weighted sum of per-column
+mean-square errors. A column with weight 0 is sliced away before any
+arithmetic, so its values can never influence the loss, not even in the
+last bit. Training weights every column 1/n, which is the pooled MSE;
+reconstruction gives the missing columns weight 0.
 """
 
 from __future__ import annotations
@@ -22,33 +24,42 @@ def mse(tape: Tape, a: Var, b: Var) -> Var:
 
 def reduced_loss(tape: Tape, target: Var, output: Var,
                  weights: Sequence[float] | None = None) -> Var:
-    """Sum of per-column mean-square errors between two [M, k] tensors.
+    """Weighted sum of per-column mean-square errors of two [M, n] tensors.
 
-    Both tensors must already be restricted to the available feature
-    columns (same column order). ``weights`` scales each column's term;
-    omitted weights default to 1. With unit weights and k columns this is
-    k times the pooled MSE.
+    ``weights`` holds one finite, non-negative entry per column (default 1
+    each), at least one of them positive. The sum is a single ``mse`` over
+    the k kept columns, column j scaled by sqrt(w_j / w_min), times
+    k * w_min. With equal weights no column is scaled, so uniform weights
+    1/n give the pooled MSE bit for bit.
     """
     if len(target.shape) != 2 or target.shape != output.shape:
         raise ValueError(
             f"reduced_loss needs matching 2-D tensors, got {target.shape} "
             f"and {output.shape}"
         )
-    k = target.shape[1]
-    if k < 1:
-        raise ValueError("reduced_loss needs at least one column")
-    if weights is not None and len(weights) != k:
-        raise ValueError(f"{len(weights)} weights for {k} columns")
+    n = target.shape[1]
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != (n,):
+        raise ValueError(f"{w.size} weights for {n} columns")
+    if not (np.isfinite(w).all() and (w >= 0).all()):
+        raise ValueError(f"weights must be finite and non-negative, got {w.tolist()}")
+    keep = np.flatnonzero(w > 0)
+    if keep.size == 0:
+        raise ValueError("reduced_loss needs at least one positive weight")
 
-    total = None
-    for j in range(k):
-        term = tape.mean_sq_diff(
-            tape.slice_cols(target, (j,)), tape.slice_cols(output, (j,))
-        )
-        if weights is not None and weights[j] != 1.0:
-            term = tape.scale(term, float(weights[j]))
-        total = term if total is None else tape.add(total, term)
-    return total
+    if keep.size < n:
+        target = tape.slice_cols(target, keep)
+        output = tape.slice_cols(output, keep)
+    w = w[keep]
+    w_min = w.min()
+    col_scale = np.sqrt(w / w_min)
+    if (col_scale != 1.0).any():
+        factors = tape.leaf(np.broadcast_to(col_scale, target.shape))
+        target = tape.mul(target, factors)
+        output = tape.mul(output, factors)
+    loss = mse(tape, target, output)
+    factor = keep.size * w_min
+    return loss if factor == 1.0 else tape.scale(loss, factor)
 
 
 class Adam:

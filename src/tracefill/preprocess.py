@@ -142,7 +142,6 @@ class WindowBatch:
     feature_names: tuple[str, ...]
     t0: float
     dt: float
-    stride: int = 1
 
     @property
     def num_windows(self) -> int:
@@ -151,11 +150,6 @@ class WindowBatch:
     @property
     def seq_len(self) -> int:
         return self.windows.shape[1]
-
-    def step_inputs(self) -> list[np.ndarray]:
-        """Per-step matrices: element ``t`` is ``windows[:, t, :]``."""
-        return [np.ascontiguousarray(self.windows[:, t, :])
-                for t in range(self.seq_len)]
 
 
 def window_stack(values: np.ndarray, seq_len: int) -> np.ndarray:
@@ -200,51 +194,6 @@ def overlap_mean_values(windows: np.ndarray, source_length: int) -> np.ndarray:
     return total / counts[:, None]
 
 
-def overlap_center_values(windows: np.ndarray, source_length: int) -> np.ndarray:
-    """Take one representative cell per sample, preferring window centers.
-
-    Sample ``i`` is read from window ``i - seq_len//2`` at its center
-    position when that window exists, clamping to the first/last window
-    near the edges. Exposed as an alternative merge rule; the mean is the
-    default everywhere else.
-    """
-    num_windows, seq_len, n = windows.shape
-    if num_windows != source_length - seq_len + 1:
-        raise ValueError(
-            f"{num_windows} windows inconsistent with length {source_length} "
-            f"and seq_len {seq_len}"
-        )
-    out = np.empty((source_length, n))
-    center = seq_len // 2
-    for i in range(source_length):
-        w = min(max(i - center, 0), num_windows - 1)
-        out[i] = windows[w, i - w]
-    return out
-
-
 def overlap_mean(batch: WindowBatch) -> TimeSeriesSet:
     values = overlap_mean_values(batch.windows, batch.source_length)
     return TimeSeriesSet(batch.feature_names, batch.t0, batch.dt, values)
-
-
-def resample_equidistant(times: np.ndarray, values: np.ndarray,
-                         dt: float) -> tuple[float, np.ndarray]:
-    """Linear interpolation of irregularly sampled columns onto a fixed grid.
-
-    Returns the grid origin (first input time) and the resampled [T, n]
-    array, where the grid covers the input span at spacing ``dt``.
-    """
-    times = np.asarray(times, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if times.ndim != 1 or values.shape[0] != times.shape[0]:
-        raise ValueError("times must be 1-D and aligned with values rows")
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n_out = int(np.floor((times[-1] - times[0]) / dt)) + 1
-    grid = times[0] + dt * np.arange(n_out)
-    out = np.column_stack(
-        [np.interp(grid, times, values[:, j]) for j in range(values.shape[1])]
-    )
-    return float(times[0]), out

@@ -5,34 +5,34 @@ becomes a length-T optimization variable (one shared value per time step,
 no matter how many windows overlap it). Every epoch rebuilds a tape that
 
   1. assembles the full scaled series from available columns (constants)
-     and the current missing-column estimates (gradient leaves),
-  2. slices it into all stride-1 windows differentiably (window row t is
-     just rows [t, t + num_windows) of the series),
-  3. runs the batched autoencoder forward, and
-  4. scores only the available feature columns of input vs output.
+     and the current missing-column estimates (gradient leaves), and
+  2. scores it with ``nn.windowed_loss``, the objective training minimizes
+     too: every stride-1 window through the autoencoder, with the user's
+     weights on the available features and weight 0 on the missing ones.
 
 Adam then updates the missing columns alone. Because window extraction is
 a differentiable slice, a sample covered by several windows automatically
 accumulates all their gradient contributions.
 
-Afterwards the optimized series is pushed through the network once more;
-the network's own output for the missing columns (merged across windows
-by overlap mean) is usually smoother than the raw optimized estimate and
-is reported alongside it.
+One final pass on the optimized series gives both the final loss and the
+network's own output for the missing columns (merged across windows by
+overlap mean), which is usually smoother than the raw optimized estimate
+and is reported alongside it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+import math
+from typing import Mapping
 
 import numpy as np
 
 from . import preprocess
 from .autodiff import Tape
-from .nn import forward_steps, lift_params
-from .optim import Adam, reduced_loss
-from .training import DivergenceError, TrainedModel, reconstruct_series
+from .nn import lift_params, windowed_loss
+from .optim import Adam
+from .training import DivergenceError, TrainedModel
 
 DEFAULT_EPOCHS_ONE_MISSING = 300
 DEFAULT_EPOCHS_MULTI_MISSING = 3000
@@ -47,8 +47,9 @@ class ReconstructionSpec:
     ``epochs=None`` resolves to 300 for a single missing feature and 3000
     when several are missing at once. ``weights`` scales the loss term of
     individual available features (default 1.0 each), which lets a user
-    emphasize features known to matter. ``init`` places the initial guess
-    in scaled space: "zeros" or "midpoint" (0.5).
+    emphasize features known to matter; each must be finite and
+    non-negative. ``init`` places the initial guess in scaled space:
+    "zeros" or "midpoint" (0.5).
     """
 
     missing: tuple[str, ...]
@@ -69,6 +70,11 @@ class ReconstructionSpec:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.init not in _INIT_MODES:
             raise ValueError(f"init must be one of {_INIT_MODES}, got {self.init!r}")
+        for name, w in (self.weights or {}).items():
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(
+                    f"weight of {name!r} must be finite and non-negative, got {w}"
+                )
 
     def resolved_epochs(self) -> int:
         if self.epochs is not None:
@@ -105,38 +111,13 @@ def _validate(model: TrainedModel, data: preprocess.TimeSeriesSet,
             raise ValueError(
                 f"weights given for non-available features: {sorted(unknown)}"
             )
+        if all(spec.weights.get(n, 1.0) == 0 for n in available):
+            raise ValueError("every available feature has weight 0")
     if data.n_samples < model.net.seq_len:
         raise ValueError(
             f"{data.n_samples} samples is shorter than seq_len {model.net.seq_len}"
         )
     return available
-
-
-def _build_loss(tape: Tape, net, model: TrainedModel,
-                avail_cols: Mapping[str, np.ndarray],
-                miss_leaves: Mapping[str, "object"],
-                weights: Sequence[float], avail_idx: Sequence[int]):
-    """Assemble series, window it, forward it, and score available columns."""
-    names = model.feature_names
-    seq_len = model.net.seq_len
-    T = next(iter(avail_cols.values())).shape[0]
-    num_windows = T - seq_len + 1
-
-    columns = []
-    for name in names:
-        if name in miss_leaves:
-            columns.append(miss_leaves[name])
-        else:
-            columns.append(tape.leaf(avail_cols[name][:, None]))
-    series = tape.concat_cols(columns)
-
-    xs = [tape.slice_rows(series, t, t + num_windows) for t in range(seq_len)]
-    detail = forward_steps(tape, net, xs)
-    target = tape.concat_rows(xs)
-    output = tape.concat_rows(detail.outputs)
-    target_avail = tape.slice_cols(target, avail_idx)
-    output_avail = tape.slice_cols(output, avail_idx)
-    return reduced_loss(tape, target_avail, output_avail, weights)
 
 
 def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
@@ -149,9 +130,9 @@ def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
     """
     available = _validate(model, data, spec)
     names = model.feature_names
-    avail_idx = tuple(i for i, n in enumerate(names) if n in available)
+    user_weights = spec.weights or {}
     weights = [
-        float(spec.weights.get(n, 1.0)) if spec.weights else 1.0 for n in available
+        float(user_weights.get(n, 1.0)) if n in available else 0.0 for n in names
     ]
     epochs = spec.resolved_epochs()
 
@@ -172,12 +153,16 @@ def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
             m: tape.leaf(current[m][:, None], requires_grad=True)
             for m in spec.missing
         }
-        loss = _build_loss(tape, net, model, avail_cols, leaves, weights, avail_idx)
-        return loss, leaves
+        series = tape.concat_cols([
+            leaves[n] if n in leaves else tape.leaf(avail_cols[n][:, None])
+            for n in names
+        ])
+        loss, outputs = windowed_loss(tape, net, series, model.net.seq_len, weights)
+        return loss, leaves, outputs
 
     for epoch in range(epochs):
         tape = Tape()
-        loss, leaves = build(tape, estimates)
+        loss, leaves, _ = build(tape, estimates)
         value = loss.item()
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite loss in epoch {epoch}")
@@ -186,53 +171,22 @@ def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
         estimates = adam.step(estimates, named_grads)
         history.append(value)
 
-    final_tape = Tape()
-    final_loss = build(final_tape, estimates)[0].item()
+    final, _, outputs = build(Tape(), estimates)
+    final_loss = final.item()
     initial_loss = history[0] if history else final_loss
+    recon_scaled = preprocess.overlap_mean_values(
+        np.stack([y.value for y in outputs], axis=1), T
+    )
 
-    x_miss = {
-        m: model.scaler.inverse_transform_columns(
-            estimates[m][:, None], [m]
-        ).ravel()
-        for m in spec.missing
-    }
-
-    full_scaled = np.empty((T, len(names)))
-    for j, name in enumerate(names):
-        full_scaled[:, j] = estimates[name] if name in estimates else avail_cols[name]
-    recon_scaled = reconstruct_series(model, full_scaled)
-    x_hat_miss = {
-        m: model.scaler.inverse_transform_columns(
-            recon_scaled[:, names.index(m)][:, None], [m]
-        ).ravel()
-        for m in spec.missing
-    }
+    def to_data(m: str, scaled: np.ndarray) -> np.ndarray:
+        return model.scaler.inverse_transform_columns(scaled[:, None], [m]).ravel()
 
     return ReconstructionResult(
-        x_miss=x_miss,
-        x_hat_miss=x_hat_miss,
+        x_miss={m: to_data(m, estimates[m]) for m in spec.missing},
+        x_hat_miss={
+            m: to_data(m, recon_scaled[:, names.index(m)]) for m in spec.missing
+        },
         loss_history=tuple(history),
         initial_loss=initial_loss,
         final_loss=final_loss,
     )
-
-
-def refine(model: TrainedModel, series: preprocess.TimeSeriesSet,
-           missing: Sequence[str]) -> dict[str, np.ndarray]:
-    """Network output for chosen columns of a complete series, data units.
-
-    One forward pass over all windows, merged by overlap mean. Useful to
-    re-read the autoencoder's opinion of an already assembled series.
-    """
-    for m in missing:
-        if m not in model.feature_names:
-            raise KeyError(f"unknown feature {m!r}; model has {model.feature_names}")
-    scaled = preprocess.transform(model.scaler, series)
-    recon_scaled = reconstruct_series(model, scaled.values)
-    names = model.feature_names
-    return {
-        m: model.scaler.inverse_transform_columns(
-            recon_scaled[:, names.index(m)][:, None], [m]
-        ).ravel()
-        for m in missing
-    }

@@ -3,8 +3,8 @@
 Each epoch walks the datasets in a rotated order (the starting dataset
 shifts by one every epoch, so no dataset always has the last word on the
 weights). Per dataset, every stride-1 window contributes to one pooled
-mean-square reconstruction loss, whose gradient drives exactly one Adam
-step. The min-max scaler is fitted once, up front, over all training sets.
+mean-square reconstruction loss (``nn.windowed_loss`` with weight 1/n per
+feature), whose gradient drives exactly one Adam step. The min-max scaler is fitted once, up front, over all training sets.
 """
 
 from __future__ import annotations
@@ -16,8 +16,15 @@ import numpy as np
 
 from . import preprocess
 from .autodiff import Tape
-from .nn import AutoencoderParams, NetConfig, forward_steps, init_params, lift_params
-from .optim import Adam, mse
+from .nn import (
+    AutoencoderParams,
+    NetConfig,
+    init_params,
+    lift_params,
+    windowed_forward,
+    windowed_loss,
+)
+from .optim import Adam
 
 
 class DivergenceError(FloatingPointError):
@@ -61,15 +68,13 @@ def _epoch_order(epoch: int, n_datasets: int) -> list[int]:
     return [(epoch + j) % n_datasets for j in range(n_datasets)]
 
 
-def _dataset_loss_and_grads(params: AutoencoderParams, step_arrays):
+def _dataset_loss_and_grads(params: AutoencoderParams, scaled: np.ndarray,
+                            seq_len: int):
     """Pooled window MSE over one dataset plus parameter gradients."""
+    n = scaled.shape[1]
     tape = Tape()
     net = lift_params(tape, params, requires_grad=True)
-    xs = [tape.leaf(a) for a in step_arrays]
-    detail = forward_steps(tape, net, xs)
-    target = tape.concat_rows(xs)
-    output = tape.concat_rows(detail.outputs)
-    loss = mse(tape, target, output)
+    loss, _ = windowed_loss(tape, net, tape.leaf(scaled), seq_len, np.full(n, 1.0 / n))
     grads = tape.backward(loss)
     named = {name: grads[leaf] for name, leaf in net.leaves.items()}
     return loss.item(), named
@@ -99,11 +104,7 @@ def train(datasets: Sequence[preprocess.TimeSeriesSet],
             )
 
     scaler = preprocess.fit_scaler(datasets)
-    step_arrays_per_dataset = []
-    for d in datasets:
-        scaled = preprocess.transform(scaler, d)
-        batch = preprocess.sliding_windows(scaled, config.net.seq_len)
-        step_arrays_per_dataset.append(batch.step_inputs())
+    scaled = [preprocess.transform(scaler, d).values for d in datasets]
 
     params = init_params(config.net, config.seed)
     adam = Adam(config.learning_rate)
@@ -112,7 +113,8 @@ def train(datasets: Sequence[preprocess.TimeSeriesSet],
 
     for epoch in range(config.epochs):
         for idx in _epoch_order(epoch, len(datasets)):
-            loss, grads = _dataset_loss_and_grads(params, step_arrays_per_dataset[idx])
+            loss, grads = _dataset_loss_and_grads(params, scaled[idx],
+                                                  config.net.seq_len)
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss on dataset {idx} in epoch {epoch}"
@@ -145,13 +147,10 @@ class EvalReport:
 def reconstruct_series(model: TrainedModel,
                        scaled_values: np.ndarray) -> np.ndarray:
     """Forward every window of a scaled [T, n] array and merge by overlap mean."""
-    batch = preprocess.window_stack(scaled_values, model.net.seq_len)
     tape = Tape()
     net = lift_params(tape, model.params, requires_grad=False)
-    xs = [tape.leaf(np.ascontiguousarray(batch[:, t, :]))
-          for t in range(model.net.seq_len)]
-    detail = forward_steps(tape, net, xs)
-    windows = np.stack([y.value for y in detail.outputs], axis=1)
+    _, outputs = windowed_forward(tape, net, tape.leaf(scaled_values), model.net.seq_len)
+    windows = np.stack([y.value for y in outputs], axis=1)
     return preprocess.overlap_mean_values(windows, scaled_values.shape[0])
 
 

@@ -233,14 +233,6 @@ class TestTapeMechanics:
         grads_a[x][0] = 17.0
         assert grads_b[x][0] == 2.0
 
-    def test_replay_is_bit_identical(self):
-        tape = Tape()
-        x = tape.leaf(np.linspace(-2, 2, 12).reshape(3, 4), requires_grad=True)
-        w = tape.leaf(np.linspace(1, 2, 8).reshape(4, 2))
-        h = tape.tanh(tape.matmul(x, w))
-        tape.sum(tape.mul(h, h))
-        assert tape.replay() is True
-
     def test_leaf_rejects_non_finite(self):
         tape = Tape()
         with pytest.raises(NonFiniteError):

@@ -221,6 +221,31 @@ class TestReconstruct:
         assert code == EXIT_VALIDATION
 
 
+    @pytest.mark.parametrize(
+        "weights", ["u1=-1", "u1=nan", "u1=inf", "u1=0,i1=0,i2=0", "u1=1,u1=2"]
+    )
+    def test_invalid_weights_fail_validation(self, pipeline, tmp_path, weights):
+        root, data_dir, model_path, *_ = pipeline
+        code = main(
+            [
+                "reconstruct",
+                "--model",
+                str(model_path),
+                "--data",
+                str(data_dir / "test_1.csv"),
+                "--missing",
+                "u2",
+                "--epochs",
+                "1",
+                "--weights",
+                weights,
+                "--out",
+                str(tmp_path / "w3"),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+
+
 class TestEvaluate:
     def test_report_and_spectra(self, pipeline):
         *_, eval_dir = pipeline

@@ -10,13 +10,19 @@ from tracefill.nn import (
     GATE_ORDER,
     AutoencoderParams,
     NetConfig,
-    autoencoder_forward,
     forward_steps,
     init_params,
     lift_params,
     lstm_step,
     param_count,
+    windowed_forward,
 )
+
+
+def forward_window(tape, net, window):
+    """Forward one [seq_len, n] window as a batch of one; [seq_len, n] out."""
+    _, outputs = windowed_forward(tape, net, window, window.shape[0])
+    return tape.concat_rows(outputs)
 
 
 def zero_params(config: NetConfig) -> AutoencoderParams:
@@ -156,7 +162,7 @@ class TestAutoencoderForward:
         tape = Tape()
         net = lift_params(tape, params, requires_grad=False)
         window = tape.leaf(np.linspace(0, 1, 12).reshape(3, 4))
-        out = autoencoder_forward(tape, net, window)
+        out = forward_window(tape, net, window)
         assert out.shape == (3, 4)
 
     def test_zero_params_give_zero_output(self):
@@ -165,7 +171,7 @@ class TestAutoencoderForward:
         tape = Tape()
         net = lift_params(tape, params, requires_grad=False)
         window = tape.leaf(np.random.default_rng(0).uniform(-1, 1, (3, 4)))
-        out = autoencoder_forward(tape, net, window)
+        out = forward_window(tape, net, window)
         np.testing.assert_array_equal(out.value, np.zeros((3, 4)))
 
     def test_batched_steps_match_single_window(self):
@@ -188,7 +194,7 @@ class TestAutoencoderForward:
             tape_w = Tape()
             net_w = lift_params(tape_w, params, requires_grad=False)
             window = tape_w.leaf(series[w : w + config.seq_len])
-            out = autoencoder_forward(tape_w, net_w, window)
+            out = forward_window(tape_w, net_w, window)
             for t in range(config.seq_len):
                 # BLAS may pick different kernels for the two shapes, so
                 # agreement is to rounding, not bitwise
@@ -213,7 +219,7 @@ class TestAutoencoderForward:
 
         def f(tape, window):
             net = lift_params(tape, params, requires_grad=False)
-            out = autoencoder_forward(tape, net, window)
+            out = forward_window(tape, net, window)
             target = tape.leaf(np.full((3, 3), 0.3))
             return tape.mean_sq_diff(out, target)
 
@@ -233,7 +239,7 @@ class TestAutoencoderForward:
             net = lift_params(tape, params, requires_grad=False)
             # swap the encoder input weights for the checked leaf
             net.encoder.wx_t = tape.transpose(wx)
-            out = autoencoder_forward(tape, net, tape.leaf(window))
+            out = forward_window(tape, net, tape.leaf(window))
             return tape.sum(tape.mul(out, out))
 
         err = grad_check(f, base.encoder.wx, eps=1e-6)

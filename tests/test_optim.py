@@ -141,3 +141,53 @@ class TestLosses:
         grads = tape.backward(loss)
         # d/d_out of (mean col0 sq) = 2*out/2 = out; second column zero
         np.testing.assert_array_equal(grads[output], [[1.0, 0.0], [1.0, 0.0]])
+
+    def test_reduced_loss_matches_per_column_reference(self):
+        # reference: the weighted sum of per-column MSEs, one column at a time
+        rng = np.random.default_rng(5)
+        t = rng.uniform(-1, 1, (7, 4))
+        o = rng.uniform(-1, 1, (7, 4))
+        weights = (0.3, 0.0, 2.5, 1.0)
+        expected = sum(
+            w * np.mean((t[:, j] - o[:, j]) ** 2) for j, w in enumerate(weights)
+        )
+        tape = Tape()
+        loss = reduced_loss(tape, tape.leaf(t), tape.leaf(o), weights)
+        assert loss.item() == pytest.approx(expected, rel=1e-14)
+
+    def test_uniform_weights_give_pooled_mse_bitwise(self):
+        rng = np.random.default_rng(6)
+        t = rng.uniform(-1, 1, (9, 4))
+        o = rng.uniform(-1, 1, (9, 4))
+        tape = Tape()
+        a, b = tape.leaf(t), tape.leaf(o)
+        before = len(tape)
+        loss = reduced_loss(tape, a, b, np.full(4, 0.25))
+        # no slicing, column scaling or rescaling: one mean_sq_diff op
+        assert len(tape) == before + 1
+        assert loss.item() == mse(tape, a, b).item()
+
+    def test_zero_weight_column_cannot_influence_loss(self):
+        target = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        poisoned = target.copy()
+        poisoned[:, 1] = [1e6, -3e7]
+        output = np.full((2, 3), 0.25)
+        results = []
+        for data in (target, poisoned):
+            tape = Tape()
+            t = tape.leaf(data, requires_grad=True)
+            loss = reduced_loss(tape, t, tape.leaf(output), (2.0, 0.0, 0.7))
+            results.append((loss.item(), tape.backward(loss)[t]))
+        assert results[0][0] == results[1][0]
+        np.testing.assert_array_equal(results[0][1], results[1][1])
+        np.testing.assert_array_equal(results[0][1][:, 1], 0.0)
+
+    @pytest.mark.parametrize(
+        "weights", [(1.0, -0.5), (1.0, np.nan), (np.inf, 1.0), (0.0, 0.0)]
+    )
+    def test_reduced_loss_rejects_bad_weights(self, weights):
+        tape = Tape()
+        target = tape.leaf(np.zeros((2, 2)))
+        output = tape.leaf(np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            reduced_loss(tape, target, output, weights)

@@ -1,4 +1,4 @@
-"""Scaling, windowing, and resampling tests."""
+"""Scaling and windowing tests."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tracefill.autodiff import Tape
+from tracefill.nn import NetConfig, init_params, lift_params, windowed_forward
 from tracefill.preprocess import (
     ScalerParams,
     TimeSeriesSet,
     coverage_counts,
     fit_scaler,
     inverse_transform,
-    overlap_center_values,
     overlap_mean,
     overlap_mean_values,
-    resample_equidistant,
     sliding_windows,
     transform,
     window_stack,
@@ -160,14 +160,6 @@ class TestWindows:
         merged = overlap_mean_values(windows, values.shape[0])
         np.testing.assert_allclose(merged, values, rtol=1e-12, atol=1e-12)
 
-    def test_overlap_center_prefers_middle_sample(self):
-        # craft windows that disagree; centers must win in the interior
-        values = np.arange(5.0).reshape(5, 1)
-        windows = window_stack(values, 3)
-        windows = windows + np.array([1.0, 0.0, -1.0]).reshape(1, 3, 1)
-        centered = overlap_center_values(windows, 5)
-        np.testing.assert_array_equal(centered[1:4, 0], [1.0, 2.0, 3.0])
-
     def test_sliding_windows_carries_metadata(self):
         data = make_set(np.arange(12.0).reshape(6, 2), dt=0.1)
         batch = sliding_windows(data, 3)
@@ -179,29 +171,13 @@ class TestWindows:
         assert merged.dt == data.dt
 
     def test_step_inputs_are_row_slices(self):
-        data = make_set(np.arange(12.0).reshape(6, 2))
-        batch = sliding_windows(data, 3)
-        steps = batch.step_inputs()
-        assert len(steps) == 3
+        # the windowed forward pass feeds step t of every window as one
+        # row block of the series
+        values = np.arange(12.0).reshape(6, 2)
+        config = NetConfig(n_features=2, seq_len=3, lstm_hidden=3, latent_dim=1)
+        tape = Tape()
+        net = lift_params(tape, init_params(config, seed=0), requires_grad=False)
+        steps, outputs = windowed_forward(tape, net, tape.leaf(values), 3)
+        assert len(steps) == len(outputs) == 3
         for t, step in enumerate(steps):
-            np.testing.assert_array_equal(step, data.values[t : t + 4])
-
-
-class TestResampling:
-    def test_linear_signal_is_exact(self):
-        times = np.array([0.0, 0.4, 1.1, 2.0])
-        values = (3.0 * times + 1.0).reshape(-1, 1)
-        t0, resampled = resample_equidistant(times, values, 0.5)
-        grid = t0 + 0.5 * np.arange(resampled.shape[0])
-        np.testing.assert_allclose(resampled[:, 0], 3.0 * grid + 1.0, rtol=1e-12)
-
-    def test_grid_stays_inside_source_range(self):
-        times = np.array([0.0, 1.0, 2.0])
-        values = np.zeros((3, 1))
-        t0, resampled = resample_equidistant(times, values, 0.3)
-        assert t0 == times[0]
-        assert t0 + 0.3 * (resampled.shape[0] - 1) <= times[-1]
-
-    def test_non_monotonic_times_raise(self):
-        with pytest.raises(ValueError):
-            resample_equidistant(np.array([0.0, 0.0, 1.0]), np.zeros((3, 1)), 0.5)
+            np.testing.assert_array_equal(step.value, values[t : t + 4])

@@ -5,18 +5,22 @@ reads the data's missing columns, and the optimization actually moves
 the missing series toward something the model can explain.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
-from tracefill.autodiff import Tape, grad_check
-from tracefill.nn import lift_params
+from tracefill import cli, nn
+from tracefill.autodiff import grad_check
+from tracefill.nn import lift_params, windowed_loss
+from tracefill.preprocess import transform
 from tracefill.reconstruct import (
     DEFAULT_EPOCHS_MULTI_MISSING,
     DEFAULT_EPOCHS_ONE_MISSING,
     ReconstructionSpec,
     reconstruct,
-    refine,
 )
+from tracefill.training import reconstruct_series
 
 
 class TestSpecValidation:
@@ -45,6 +49,23 @@ class TestSpecValidation:
     def test_bad_init_mode_rejected(self):
         with pytest.raises(ValueError):
             ReconstructionSpec(missing=("u1",), init="random")
+
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), -float("inf")])
+    def test_negative_or_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ReconstructionSpec(missing=("u1",), weights={"u2": bad})
+
+    def test_zero_weight_accepted(self):
+        spec = ReconstructionSpec(missing=("u1",), weights={"u2": 0.0})
+        assert spec.weights == {"u2": 0.0}
+
+    def test_all_available_weights_zero_rejected(self, toy_model, toy_datasets):
+        model, _ = toy_model
+        spec = ReconstructionSpec(
+            missing=("u1",), epochs=1, weights={"i1": 0.0, "u2": 0.0, "i2": 0.0}
+        )
+        with pytest.raises(ValueError):
+            reconstruct(model, toy_datasets[0], spec)
 
     def test_unknown_feature_rejected(self, toy_model, toy_datasets):
         model, _ = toy_model
@@ -185,6 +206,8 @@ class TestOptimization:
 
 class TestRefine:
     def test_refine_matches_result_field(self, toy_model, toy_datasets):
+        # x_hat is read off the final loss pass; a separate forward pass
+        # over the assembled final series must give the same bits
         model, _ = toy_model
         data = toy_datasets[0]
         spec = ReconstructionSpec(missing=("u2",), epochs=8)
@@ -193,56 +216,59 @@ class TestRefine:
         assembled = data.values.copy()
         col = data.feature_names.index("u2")
         assembled[:, col] = res.x_miss["u2"]
-        series = data.replace_values(assembled)
-        refined = refine(model, series, ("u2",))
-        np.testing.assert_array_equal(refined["u2"], res.x_hat_miss["u2"])
-
-    def test_output_length_matches_input(self, toy_model, toy_datasets):
-        model, _ = toy_model
-        refined = refine(model, toy_datasets[1], ("u1", "i1"))
-        T = len(toy_datasets[1].values)
-        assert refined["u1"].shape == (T,)
-        assert refined["i1"].shape == (T,)
+        scaled = transform(model.scaler, data.replace_values(assembled))
+        recon = reconstruct_series(model, scaled.values)
+        refined = model.scaler.inverse_transform_columns(recon[:, [col]], ["u2"])
+        np.testing.assert_array_equal(refined.ravel(), res.x_hat_miss["u2"])
 
 
 class TestGradientPath:
     def test_end_to_end_gradient_matches_finite_differences(
         self, toy_model, toy_datasets
     ):
-        # T=10 slice: the full missing-column gradient through window
-        # assembly, the autoencoder, and the reduced loss
+        # T=10 slice: the full missing-column gradient of the production
+        # objective, through window assembly, the autoencoder and the
+        # weighted loss
         model, _ = toy_model
         data = toy_datasets[0]
         values = data.values[:10]
         scaled = model.scaler.transform_columns(values, data.feature_names)
         miss_col = 2
-        avail_idx = (0, 1, 3)
+        weights = [0.0 if j == miss_col else 1.0 for j in range(scaled.shape[1])]
 
         def f(tape, x_miss):
-            from tracefill.optim import reduced_loss
-
-            T = scaled.shape[0]
-            cols = []
-            for j, name in enumerate(data.feature_names):
-                if j == miss_col:
-                    cols.append(x_miss)
-                else:
-                    cols.append(tape.leaf(scaled[:, j : j + 1]))
-            series = tape.concat_cols(cols)
-            net = lift_params(tape, model.params, requires_grad=False)
-            num = T - model.net.seq_len + 1
-            xs = [
-                tape.slice_rows(series, t, t + num)
-                for t in range(model.net.seq_len)
+            cols = [
+                x_miss if j == miss_col else tape.leaf(scaled[:, j : j + 1])
+                for j in range(scaled.shape[1])
             ]
-            from tracefill.nn import forward_steps
-
-            detail = forward_steps(tape, net, xs)
-            target = tape.slice_cols(tape.concat_rows(xs), avail_idx)
-            output = tape.slice_cols(
-                tape.concat_rows(detail.outputs), avail_idx
-            )
-            return tape.mean_sq_diff(target, output)
+            net = lift_params(tape, model.params, requires_grad=False)
+            series = tape.concat_cols(cols)
+            return windowed_loss(tape, net, series, model.net.seq_len, weights)[0]
 
         x0 = np.full((10, 1), 0.4)
         assert grad_check(f, x0, eps=1e-6) < 1e-5
+
+    def test_gradcheck_differentiates_the_reconstruction_objective(
+        self, monkeypatch, toy_model, toy_datasets
+    ):
+        # the CLI gradcheck and reconstruct bind the same windowed_loss,
+        # and both call it
+        recon_module = importlib.import_module("tracefill.reconstruct")
+        calls = {"cli": 0, "reconstruct": 0}
+        for key, module in (("cli", cli), ("reconstruct", recon_module)):
+            assert module.windowed_loss is nn.windowed_loss
+
+            def counting(*args, _key=key, **kwargs):
+                calls[_key] += 1
+                return nn.windowed_loss(*args, **kwargs)
+
+            monkeypatch.setattr(module, "windowed_loss", counting)
+
+        assert cli.end_to_end_gradcheck(n_samples=12) < 1e-5
+        # one analytic pass plus two finite-difference passes per sample
+        assert calls["cli"] == 1 + 2 * 12
+        model, _ = toy_model
+        spec = ReconstructionSpec(missing=("u2",), epochs=2)
+        reconstruct(model, toy_datasets[0], spec)
+        # one pass per epoch plus the final pass
+        assert calls["reconstruct"] == 3

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from tracefill.nn import NetConfig
-from tracefill.preprocess import TimeSeriesSet, transform
+from tracefill.autodiff import Tape
+from tracefill.nn import NetConfig, forward_steps, lift_params, windowed_loss
+from tracefill.optim import mse
+from tracefill.preprocess import TimeSeriesSet, transform, window_stack
 from tracefill.training import (
     TrainConfig,
     evaluate_model,
@@ -95,6 +97,36 @@ class TestTrain:
         config = TrainConfig(epochs=1, net=NetConfig(n_features=3, lstm_hidden=4, latent_dim=2))
         with pytest.raises(ValueError):
             train(toy_datasets, config)
+
+    def test_uniform_windowed_loss_is_the_pooled_window_mse(self, toy_model, toy_datasets):
+        # training's objective, windowed_loss with weights 1/n on the series,
+        # equals the pooled MSE over precomputed window steps, bit for bit,
+        # in the loss and in every parameter gradient
+        model, _ = toy_model
+        scaled = transform(model.scaler, toy_datasets[1]).values
+        seq_len = model.net.seq_len
+
+        def windowed(tape, net):
+            weights = np.full(scaled.shape[1], 1.0 / scaled.shape[1])
+            return windowed_loss(tape, net, tape.leaf(scaled), seq_len, weights)[0]
+
+        def pooled(tape, net):
+            windows = window_stack(scaled, seq_len)
+            xs = [tape.leaf(np.ascontiguousarray(windows[:, t])) for t in range(seq_len)]
+            outputs = forward_steps(tape, net, xs).outputs
+            return mse(tape, tape.concat_rows(xs), tape.concat_rows(outputs))
+
+        results = []
+        for build in (windowed, pooled):
+            tape = Tape()
+            net = lift_params(tape, model.params, requires_grad=True)
+            loss = build(tape, net)
+            grads = tape.backward(loss)
+            results.append((loss.item(), {k: grads[v] for k, v in net.leaves.items()}))
+        (loss_a, grads_a), (loss_b, grads_b) = results
+        assert loss_a == loss_b
+        for name in grads_a:
+            np.testing.assert_array_equal(grads_a[name], grads_b[name])
 
     def test_constant_series_reconstructs_well(self):
         # an autoencoder trained on constants should reproduce them closely
