@@ -41,11 +41,8 @@ from .optim import Adam, mse, reduced_loss
 from .preprocess import (
     ScalerParams,
     TimeSeriesSet,
-    WindowBatch,
     fit_scaler,
     inverse_transform,
-    overlap_mean,
-    sliding_windows,
     transform,
 )
 from .reconstruct import ReconstructionResult, ReconstructionSpec, reconstruct

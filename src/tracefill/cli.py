@@ -46,6 +46,9 @@ def _load_simulate_config(path: str | None) -> dict:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CliError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise CliError(f"{path}: top level must be a JSON object, "
+                       f"got {type(cfg).__name__}")
     known = {"seed", "dt", "n_samples", "circuit"}
     unknown = set(cfg) - known
     if unknown:
@@ -64,10 +67,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # the CircuitParams defaults; overriding any component goes through the
     # config's "circuit" table
     circuit_cfg = cfg.get("circuit")
-    params = (
-        circuit.CircuitParams(**circuit_cfg) if circuit_cfg
-        else circuit.SUITE_PARAMS
-    )
+    try:
+        params = (
+            circuit.CircuitParams(**circuit_cfg) if circuit_cfg
+            else circuit.SUITE_PARAMS
+        )
+    except TypeError as exc:
+        raise CliError(f"{args.config}: bad circuit table: {exc}") from None
     suite = circuit.generate_suite(seed, params, dt, n_samples)
 
     out = Path(args.out)
@@ -99,7 +105,10 @@ def _load_suite_datasets(data_dir: Path, role: str) -> list[preprocess.TimeSerie
     manifest_path = data_dir / "manifest.json"
     if manifest_path.exists():
         manifest = fileio.read_manifest(manifest_path)
-        files = [d["file"] for d in manifest["datasets"] if d["role"] == role]
+        try:
+            files = [d["file"] for d in manifest["datasets"] if d["role"] == role]
+        except (KeyError, TypeError) as exc:
+            raise CliError(f"{manifest_path}: malformed manifest: {exc!r}") from None
     else:
         files = sorted(p.name for p in data_dir.glob(f"{role}_*.csv"))
     if not files:
@@ -175,19 +184,14 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    times = data.times()[: data.n_samples]
-    header = ["time_s"]
-    columns = [times]
+    names, columns = [], []
     for m in missing:
-        header += [f"{m}_xmiss", f"{m}_xhatmiss"]
+        names += [f"{m}_xmiss", f"{m}_xhatmiss"]
         columns += [result.x_miss[m], result.x_hat_miss[m]]
     stem = f"{Path(args.data).stem}_{'_'.join(missing)}"
     result_path = out / f"reconstruction_{stem}.csv"
-    with open(result_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(len(times)):
-            writer.writerow([repr(float(c[k])) for c in columns])
+    fileio.write_dataset_csv(result_path, preprocess.TimeSeriesSet(
+        names, data.t0, data.dt, np.column_stack(columns)))
     # history rows hold the loss before each update; the extra last row is
     # the loss after the final update, so the curve file is self-contained
     fileio.write_loss_curve_csv(

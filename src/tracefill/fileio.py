@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .nn import AutoencoderParams, NetConfig
+from .nn import AutoencoderParams, NetConfig, param_shapes
 from .preprocess import ScalerParams, TimeSeriesSet
 from .training import HistoryRow, TrainedModel
 
@@ -142,6 +142,9 @@ def load_model(path: str | Path) -> TrainedModel:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: top level must be a JSON object, "
+                          f"got {type(doc).__name__}")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise FormatError(
@@ -157,36 +160,31 @@ def load_model(path: str | Path) -> TrainedModel:
             maxs=np.array(doc["scaler"]["maxs"], dtype=np.float64),
             constant=np.array(doc["scaler"]["constant"], dtype=bool),
         )
-        params = AutoencoderParams.from_dict(
-            {name: _array_from_json(obj) for name, obj in doc["params"].items()}
-        )
+        arrays = {name: _array_from_json(obj) for name, obj in doc["params"].items()}
         training = doc["training"]
-        model = TrainedModel(
-            params=params,
-            scaler=scaler,
-            net=net,
-            feature_names=names,
+        meta = dict(
             seed=int(training["seed"]),
             epochs=int(training["epochs"]),
             learning_rate=float(training["learning_rate"]),
             final_losses=tuple(float(v) for v in training["final_losses"]),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"{path}: malformed model file: {exc!r}") from None
-    expected = {
-        "encoder.wx": (4 * net.lstm_hidden, net.n_features),
-        "encoder.wh": (4 * net.lstm_hidden, net.lstm_hidden),
-        "decoder.wx": (4 * net.lstm_hidden, net.latent_dim),
-        "latent.weight": (net.latent_dim, net.lstm_hidden),
-        "readout.weight": (net.n_features, net.lstm_hidden),
-    }
-    actual = model.params.as_dict()
-    for name, shape in expected.items():
-        if actual[name].shape != shape:
+    if any(np.shape(v) != (net.n_features,)
+           for v in (names, scaler.mins, scaler.maxs, scaler.constant)):
+        raise FormatError(
+            f"{path}: feature_names and scaler arrays need {net.n_features} "
+            f"entries each (net.n_features)"
+        )
+    for name, shape in param_shapes(net).items():
+        if name not in arrays:
+            raise FormatError(f"{path}: parameter array {name} is missing")
+        if arrays[name].shape != shape:
             raise FormatError(
-                f"{path}: {name} has shape {actual[name].shape}, expected {shape}"
+                f"{path}: {name} has shape {arrays[name].shape}, expected {shape}"
             )
-    return model
+    return TrainedModel(params=AutoencoderParams.from_dict(arrays), scaler=scaler,
+                        net=net, feature_names=names, **meta)
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:

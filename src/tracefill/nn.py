@@ -113,36 +113,47 @@ class AutoencoderParams:
             {k: v.copy() for k, v in self.as_dict().items()}
         )
 
-    def param_count(self) -> int:
-        return sum(v.size for v in self.as_dict().values())
+
+def param_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of every parameter array, keyed and ordered as ``as_dict``."""
+    h, n, z = config.lstm_hidden, config.n_features, config.latent_dim
+    return {
+        "encoder.wx": (4 * h, n),
+        "encoder.wh": (4 * h, h),
+        "encoder.bias": (4 * h,),
+        "latent.weight": (z, h),
+        "latent.bias": (z,),
+        "decoder.wx": (4 * h, z),
+        "decoder.wh": (4 * h, h),
+        "decoder.bias": (4 * h,),
+        "readout.weight": (n, h),
+        "readout.bias": (n,),
+    }
 
 
 def param_count(config: NetConfig) -> int:
     """Total parameter count implied by the dimensions alone."""
-    h, n, z = config.lstm_hidden, config.n_features, config.latent_dim
-    lstm = lambda n_in: 4 * h * (n_in + h + 1)
-    return lstm(n) + lstm(z) + (z * h + z) + (n * h + n)
+    return sum(int(np.prod(shape)) for shape in param_shapes(config).values())
 
 
 def init_params(config: NetConfig, seed: int) -> AutoencoderParams:
     """Seeded init: weights uniform in ±1/sqrt(fan_in), biases zero.
 
-    Matrices are filled row-major in a fixed order (encoder wx, encoder wh,
-    latent weight, decoder wx, decoder wh, readout weight), so the same
-    seed always produces bitwise identical parameters.
+    Matrices are filled row-major in ``param_shapes`` order (encoder wx,
+    encoder wh, latent weight, decoder wx, decoder wh, readout weight), so
+    the same seed always produces bitwise identical parameters.
     """
     rng = Xoshiro256(seed)
-    h, n, z = config.lstm_hidden, config.n_features, config.latent_dim
 
-    def mat(rows: int, cols: int) -> np.ndarray:
-        bound = 1.0 / np.sqrt(cols)
-        return rng.uniform(-bound, bound, (rows, cols))
+    def init(shape: tuple[int, ...]) -> np.ndarray:
+        if len(shape) == 1:
+            return np.zeros(shape)
+        bound = 1.0 / np.sqrt(shape[1])
+        return rng.uniform(-bound, bound, shape)
 
-    encoder = LSTMParams(mat(4 * h, n), mat(4 * h, h), np.zeros(4 * h))
-    latent = LinearParams(mat(z, h), np.zeros(z))
-    decoder = LSTMParams(mat(4 * h, z), mat(4 * h, h), np.zeros(4 * h))
-    readout = LinearParams(mat(n, h), np.zeros(n))
-    return AutoencoderParams(encoder, latent, decoder, readout)
+    return AutoencoderParams.from_dict(
+        {name: init(shape) for name, shape in param_shapes(config).items()}
+    )
 
 
 @dataclass

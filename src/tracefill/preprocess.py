@@ -2,9 +2,9 @@
 
 Scaling is fitted once over all training sets (global per-feature extrema)
 and reused verbatim for any later data; application data never refits.
-Windows are stride-1 and dense; ``overlap_mean`` merges per-window outputs
-back to series length by averaging every window cell that covers a sample,
-which is the exact inverse of ``sliding_windows`` when windows agree.
+Windows are stride-1 and dense; ``overlap_mean_values`` merges per-window
+outputs back to series length by averaging every window cell that covers a
+sample, which is the exact inverse of ``window_stack`` when windows agree.
 """
 
 from __future__ import annotations
@@ -133,41 +133,12 @@ def inverse_transform(scaler: ScalerParams, data: TimeSeriesSet) -> TimeSeriesSe
     )
 
 
-@dataclass(frozen=True)
-class WindowBatch:
-    """All stride-1 windows of one series, with its framing metadata."""
-
-    windows: np.ndarray  # [num_windows, seq_len, n_features]
-    source_length: int
-    feature_names: tuple[str, ...]
-    t0: float
-    dt: float
-
-    @property
-    def num_windows(self) -> int:
-        return self.windows.shape[0]
-
-    @property
-    def seq_len(self) -> int:
-        return self.windows.shape[1]
-
-
 def window_stack(values: np.ndarray, seq_len: int) -> np.ndarray:
     """Stride-1 windows of a [T, n] array as a [T-s+1, s, n] stack."""
     T = values.shape[0]
     if not 1 <= seq_len <= T:
         raise ValueError(f"seq_len {seq_len} invalid for {T} samples")
     return np.stack([values[i:i + seq_len] for i in range(T - seq_len + 1)])
-
-
-def sliding_windows(data: TimeSeriesSet, seq_len: int) -> WindowBatch:
-    return WindowBatch(
-        windows=window_stack(data.values, seq_len),
-        source_length=data.n_samples,
-        feature_names=data.feature_names,
-        t0=data.t0,
-        dt=data.dt,
-    )
 
 
 def coverage_counts(source_length: int, seq_len: int) -> np.ndarray:
@@ -192,8 +163,3 @@ def overlap_mean_values(windows: np.ndarray, source_length: int) -> np.ndarray:
         total[t:t + num_windows] += windows[:, t, :]
     counts = coverage_counts(source_length, seq_len)
     return total / counts[:, None]
-
-
-def overlap_mean(batch: WindowBatch) -> TimeSeriesSet:
-    values = overlap_mean_values(batch.windows, batch.source_length)
-    return TimeSeriesSet(batch.feature_names, batch.t0, batch.dt, values)

@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from tracefill.autodiff import Tape, registered_ops
 from tracefill.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from tracefill.fileio import read_dataset_csv, read_manifest
+from tracefill.nn import NetConfig
+from tracefill.training import TrainConfig, train
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +122,16 @@ class TestSimulate:
             == EXIT_VALIDATION
         )
 
+    @pytest.mark.parametrize(
+        "text", ["5", '{"circuit": [1]}', '{"circuit": {"bogus": 1}}']
+    )
+    def test_malformed_config_fails_validation(self, tmp_path, capsys, text):
+        config = tmp_path / "c.json"
+        config.write_text(text)
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == EXIT_VALIDATION
+        assert str(config) in capsys.readouterr().err
+
 
 class TestTrain:
     def test_writes_model_and_history(self, pipeline):
@@ -146,6 +159,19 @@ class TestTrain:
             )
             == EXIT_VALIDATION
         )
+
+    @pytest.mark.parametrize("text", ["[1]", '{"datasets": [{"file": "x.csv"}]}'])
+    def test_malformed_manifest_fails_validation(self, pipeline, tmp_path, capsys,
+                                                 text):
+        _, data_dir, *_ = pipeline
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "train_1.csv").write_bytes((data_dir / "train_1.csv").read_bytes())
+        (data / "manifest.json").write_text(text)
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                     "--epochs", "1"])
+        assert code == EXIT_VALIDATION
+        assert "manifest.json" in capsys.readouterr().err
 
 
 class TestReconstruct:
@@ -244,6 +270,98 @@ class TestReconstruct:
             ]
         )
         assert code == EXIT_VALIDATION
+
+    @staticmethod
+    def reconstruct_with_model_text(data_dir, tmp_path, capsys, text) -> str:
+        """Run reconstruct on a model file holding ``text``; expect exit 2."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(
+            [
+                "reconstruct",
+                "--model",
+                str(bad),
+                "--data",
+                str(data_dir / "test_1.csv"),
+                "--missing",
+                "u2",
+                "--epochs",
+                "1",
+                "--out",
+                str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        return err
+
+    def test_non_object_model_fails_validation(self, pipeline, tmp_path, capsys):
+        _, data_dir, *_ = pipeline
+        self.reconstruct_with_model_text(data_dir, tmp_path, capsys, "[1, 2]")
+
+    @pytest.mark.parametrize(
+        "name,shape",
+        [("latent.bias", [3]), ("decoder.wh", [16, 3]), ("encoder.bias", [4, 4])],
+    )
+    def test_wrong_parameter_shape_fails_validation(self, pipeline, tmp_path, capsys,
+                                                    name, shape):
+        _, data_dir, model_path, *_ = pipeline
+        doc = json.loads(model_path.read_text())
+        doc["params"][name] = {"shape": shape, "data": [0.0] * int(np.prod(shape))}
+        err = self.reconstruct_with_model_text(
+            data_dir, tmp_path, capsys, json.dumps(doc)
+        )
+        assert f"{name} has shape" in err
+
+    @pytest.mark.parametrize("field", ["mins", "feature_names"])
+    def test_feature_count_mismatch_fails_validation(self, pipeline, tmp_path, capsys,
+                                                     field):
+        _, data_dir, model_path, *_ = pipeline
+        doc = json.loads(model_path.read_text())
+        owner = doc if field == "feature_names" else doc["scaler"]
+        owner[field] = owner[field][:3]
+        err = self.reconstruct_with_model_text(
+            data_dir, tmp_path, capsys, json.dumps(doc)
+        )
+        assert "need 4 entries" in err
+
+
+class TestOpUsage:
+    def test_update_and_epoch_record_every_op_but_sum(self, pipeline, tmp_path,
+                                                      monkeypatch):
+        # an op that neither path records has no caller and should go
+        root, data_dir, model_path, *_ = pipeline
+        recorded = set()
+        apply = Tape.apply
+
+        def recording_apply(self, op, *inputs, **kwargs):
+            recorded.add(op)
+            return apply(self, op, *inputs, **kwargs)
+
+        monkeypatch.setattr(Tape, "apply", recording_apply)
+        data = read_dataset_csv(data_dir / "train_1.csv")
+        net = NetConfig(n_features=4, lstm_hidden=4, latent_dim=2)
+        train([data], TrainConfig(epochs=1, net=net))
+        code = main(
+            [
+                "reconstruct",
+                "--model",
+                str(model_path),
+                "--data",
+                str(data_dir / "test_1.csv"),
+                "--missing",
+                "u2",
+                "--epochs",
+                "1",
+                "--weights",
+                "u1=2.0,i1=0.5",
+                "--out",
+                str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_OK
+        assert recorded == set(registered_ops()) - {"sum"}
 
 
 class TestEvaluate:

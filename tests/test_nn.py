@@ -15,6 +15,7 @@ from tracefill.nn import (
     lift_params,
     lstm_step,
     param_count,
+    param_shapes,
     windowed_forward,
 )
 
@@ -61,7 +62,8 @@ class TestParamCount:
         config = NetConfig(n_features=n, lstm_hidden=hidden, latent_dim=latent)
         params = init_params(config, seed=1)
         total = sum(arr.size for arr in params.as_dict().values())
-        assert param_count(config) == total == params.param_count()
+        assert param_count(config) == total
+        assert {k: v.shape for k, v in params.as_dict().items()} == param_shapes(config)
 
 
 class TestInitialization:

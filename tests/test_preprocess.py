@@ -14,9 +14,7 @@ from tracefill.preprocess import (
     coverage_counts,
     fit_scaler,
     inverse_transform,
-    overlap_mean,
     overlap_mean_values,
-    sliding_windows,
     transform,
     window_stack,
 )
@@ -159,16 +157,6 @@ class TestWindows:
         windows = window_stack(values, seq_len)
         merged = overlap_mean_values(windows, values.shape[0])
         np.testing.assert_allclose(merged, values, rtol=1e-12, atol=1e-12)
-
-    def test_sliding_windows_carries_metadata(self):
-        data = make_set(np.arange(12.0).reshape(6, 2), dt=0.1)
-        batch = sliding_windows(data, 3)
-        assert batch.num_windows == 4
-        assert batch.seq_len == 3
-        assert batch.feature_names == data.feature_names
-        merged = overlap_mean(batch)
-        np.testing.assert_allclose(merged.values, data.values, rtol=1e-12)
-        assert merged.dt == data.dt
 
     def test_step_inputs_are_row_slices(self):
         # the windowed forward pass feeds step t of every window as one
