@@ -20,7 +20,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tracefill import fileio
 from tracefill.circuit import SUITE_PARAMS, generate_suite
+from tracefill.metrics import rmse_report
 from tracefill.nn import NetConfig
+from tracefill.preprocess import TimeSeriesSet
 from tracefill.reconstruct import ReconstructionSpec, reconstruct
 from tracefill.training import TrainConfig, train
 
@@ -73,22 +75,17 @@ def main() -> int:
         elapsed = time.perf_counter() - started
 
         ref = truth.column(feature)
-        scale = ref.std()
-        rel_raw = np.sqrt(np.mean((result.x_miss[feature] - ref) ** 2)) / scale
-        rel_rec = np.sqrt(np.mean((result.x_hat_miss[feature] - ref) ** 2)) / scale
+        rel_raw = rmse_report(feature, ref, result.x_miss[feature]).rel_rmse
+        rel_rec = rmse_report(feature, ref, result.x_hat_miss[feature]).rel_rmse
         ratio = result.final_loss / result.initial_loss
         print(f"{feature:>8} {ratio:>11.4f} {rel_raw:>13.3f} "
               f"{rel_rec:>13.3f} {elapsed:>5.1f}s")
 
-        times = truth.times()
-        rows = np.column_stack(
-            [times, result.x_miss[feature], result.x_hat_miss[feature], ref]
-        )
-        path = out / f"reconstruction_{feature}.csv"
-        with open(path, "w") as fh:
-            fh.write(f"time_s,{feature}_xmiss,{feature}_xhatmiss,{feature}_truth\n")
-            for row in rows:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fileio.write_dataset_csv(out / f"reconstruction_{feature}.csv", TimeSeriesSet(
+            (f"{feature}_xmiss", f"{feature}_xhatmiss", f"{feature}_truth"),
+            truth.t0, truth.dt,
+            np.column_stack([result.x_miss[feature], result.x_hat_miss[feature], ref]),
+        ))
         fileio.write_loss_curve_csv(
             out / f"loss_{feature}.csv",
             list(result.loss_history) + [result.final_loss],

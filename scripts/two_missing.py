@@ -17,7 +17,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tracefill import fileio
 from tracefill.circuit import SUITE_PARAMS, generate_suite
+from tracefill.metrics import rmse_report
 from tracefill.nn import NetConfig
+from tracefill.preprocess import TimeSeriesSet
 from tracefill.reconstruct import ReconstructionSpec, reconstruct
 from tracefill.training import TrainConfig, train
 
@@ -64,25 +66,21 @@ def main() -> int:
     print(f"done in {elapsed:.0f}s; loss {result.initial_loss:.4e} -> "
           f"{result.final_loss:.4e} (ratio {ratio:.4f})")
     for feature in missing:
-        ref = truth.column(feature)
-        rel = np.sqrt(np.mean((result.x_hat_miss[feature] - ref) ** 2)) / ref.std()
-        print(f"  {feature}: rel RMSE {rel:.3f}")
+        report = rmse_report(feature, truth.column(feature), result.x_hat_miss[feature])
+        print(f"  {feature}: rel RMSE {report.rel_rmse:.3f}")
 
-    times = truth.times()
-    header = ["time_s"]
-    columns = [times]
+    names, columns = [], []
     for feature in missing:
-        header += [f"{feature}_xmiss", f"{feature}_xhatmiss", f"{feature}_truth"]
+        names += [f"{feature}_xmiss", f"{feature}_xhatmiss", f"{feature}_truth"]
         columns += [
             result.x_miss[feature],
             result.x_hat_miss[feature],
             truth.column(feature),
         ]
-    path = out / f"reconstruction_{'_'.join(missing)}.csv"
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(len(times)):
-            fh.write(",".join(repr(float(c[k])) for c in columns) + "\n")
+    fileio.write_dataset_csv(
+        out / f"reconstruction_{'_'.join(missing)}.csv",
+        TimeSeriesSet(names, truth.t0, truth.dt, np.column_stack(columns)),
+    )
     fileio.write_loss_curve_csv(
         out / f"loss_{'_'.join(missing)}.csv",
         list(result.loss_history) + [result.final_loss],

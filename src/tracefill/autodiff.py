@@ -21,7 +21,6 @@ add, mul            two tensors of identical shape              same shape
 matmul              ``[m, k]`` and ``[k, r]``                   ``[m, r]``
 scale               tensor, constant factor                     same shape
 tanh, sigmoid       one tensor                                  same shape
-transpose           ``[m, n]``                                  ``[n, m]``
 add_bias            ``[m, n]`` and row vector ``[n]``           ``[m, n]``
 concat_rows         2-D tensors with equal column counts        rows stacked
 concat_cols         2-D tensors with equal row counts           cols stacked
@@ -32,10 +31,12 @@ mean_sq_diff        two tensors of identical shape              ``[1]``
 ==================  ==========================================  ============
 
 The set holds what the autoencoder and its loss record, plus ``sum`` for
-whole-tensor gradient checks; :class:`Var` has no arithmetic operators,
-so every recorded op is named at its call site. ``sigmoid`` is
-evaluated as ``0.5 * (1 + tanh(x / 2))``, which is finite for every finite
-``x`` and agrees with ``1 / (1 + exp(-x))`` to within 2.2e-16.
+whole-tensor gradient checks. There is no transpose: the autoencoder's
+weights are lifted in the ``[in, out]`` layout its matmuls use.
+:class:`Var` has no arithmetic operators, so every recorded op is named at
+its call site. ``sigmoid`` is evaluated as ``0.5 * (1 + tanh(x / 2))``,
+which is finite for every finite ``x`` and agrees with
+``1 / (1 + exp(-x))`` to within 2.2e-16.
 
 Backward itself is not recorded, so higher-order derivatives are out of
 scope. Node values should be treated as read-only by callers.
@@ -183,17 +184,6 @@ def _bw_sigmoid(g, out, values, needs, kwargs):
     return (g * out * (1.0 - out),)
 
 
-def _fw_transpose(values, kwargs):
-    (a,) = values
-    if a.ndim != 2:
-        raise ShapeError(f"transpose: need a 2-D tensor, got shape {a.shape}")
-    return a.T.copy()
-
-
-def _bw_transpose(g, out, values, needs, kwargs):
-    return (g.T,)
-
-
 def _fw_add_bias(values, kwargs):
     a, b = values
     if a.ndim != 2 or b.ndim != 1 or a.shape[1] != b.shape[0]:
@@ -317,7 +307,6 @@ _OPS: dict[str, _OpRule] = {
     "scale": _OpRule(_fw_scale, _bw_scale),
     "tanh": _OpRule(_fw_tanh, _bw_tanh),
     "sigmoid": _OpRule(_fw_sigmoid, _bw_sigmoid),
-    "transpose": _OpRule(_fw_transpose, _bw_transpose),
     "add_bias": _OpRule(_fw_add_bias, _bw_add_bias),
     "concat_rows": _OpRule(_fw_concat_rows, _bw_concat_rows),
     "concat_cols": _OpRule(_fw_concat_cols, _bw_concat_cols),
@@ -388,9 +377,6 @@ class Tape:
 
     def sigmoid(self, a: Var) -> Var:
         return self.apply("sigmoid", a)
-
-    def transpose(self, a: Var) -> Var:
-        return self.apply("transpose", a)
 
     def add_bias(self, a: Var, bias: Var) -> Var:
         return self.apply("add_bias", a, bias)
@@ -511,7 +497,6 @@ def _op_check_cases(rng) -> list[tuple[str, Callable[[], tuple]]]:
         ("scale", lambda: (plain((3, 4)),)),
         ("tanh", lambda: (plain((3, 4)),)),
         ("sigmoid", lambda: (plain((3, 4), -2.0, 2.0),)),
-        ("transpose", lambda: (plain((3, 4)),)),
         ("add_bias", lambda: (plain((3, 4)), plain((4,)))),
         ("concat_rows", lambda: (plain((2, 3)), plain((3, 3)))),
         ("concat_cols", lambda: (plain((3, 2)), plain((3, 3)))),

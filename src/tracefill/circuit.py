@@ -132,18 +132,6 @@ def term_to_dict(term: Term) -> dict:
     raise TypeError(f"unknown waveform term {term!r}")
 
 
-def term_from_dict(d: dict) -> Term:
-    kind = d.get("kind")
-    if kind == "dc":
-        return Dc(d["level"])
-    if kind == "sine":
-        return Sine(d["amplitude"], d["frequency"], d.get("phase", 0.0))
-    if kind == "trapezoid":
-        return Trapezoid(d["low"], d["high"], d["rise"], d["high_time"],
-                         d["fall"], d["period"])
-    raise ValueError(f"unknown waveform kind {kind!r}")
-
-
 def _derivatives(params: CircuitParams, u1: float, i1: float,
                  u2: float) -> tuple[float, float]:
     di1 = (u1 - params.r1 * i1 - u2) / params.l

@@ -67,6 +67,13 @@ def read_dataset_csv(path: str | Path) -> TimeSeriesSet:
     if len(rows) < 2:
         raise FormatError(f"{path}: need at least two samples")
     arr = np.array(rows)
+    finite = np.isfinite(arr)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise FormatError(
+            f"{path}:{row + 2}: column {header[col]!r} is {arr[row, col]!r}, "
+            "values must be finite"
+        )
     times, values = arr[:, 0], arr[:, 1:]
     dt = times[1] - times[0]
     if not dt > 0:

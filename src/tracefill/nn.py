@@ -11,11 +11,17 @@ the input is a ``[num_windows, n_features]`` matrix. A single window is
 the ``num_windows == 1`` special case, so every code path shares the same
 tape ops. ``windowed_loss`` is the one objective that training (over the
 weights) and reconstruction (over a missing column) both minimize.
+
+The parameters are one table of ten named arrays, spelled out only in
+``param_shapes``: training writes it, the model file stores it and
+reconstruction reads it frozen. ``lift_params`` puts each array on a tape
+once, matrices transposed to the ``[in, out]`` layout the forward pass
+multiplies by, and the layers look their weights up by name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,71 +57,33 @@ class NetConfig:
             )
 
 
-@dataclass
-class LSTMParams:
-    """Stacked gate parameters; rows ordered per GATE_ORDER blocks."""
+class AutoencoderParams(dict):
+    """The ten parameter arrays by name, in ``param_shapes`` order.
 
-    wx: np.ndarray  # [4h, in]
-    wh: np.ndarray  # [4h, h]
-    bias: np.ndarray  # [4h]
-
-
-@dataclass
-class LinearParams:
-    weight: np.ndarray  # [out, in]
-    bias: np.ndarray  # [out]
-
-
-@dataclass
-class AutoencoderParams:
-    encoder: LSTMParams
-    latent: LinearParams
-    decoder: LSTMParams
-    readout: LinearParams
-
-    _NAMES = (
-        "encoder.wx", "encoder.wh", "encoder.bias",
-        "latent.weight", "latent.bias",
-        "decoder.wx", "decoder.wh", "decoder.bias",
-        "readout.weight", "readout.bias",
-    )
+    Matrices are stored ``[out, in]``, LSTM gate rows in GATE_ORDER
+    blocks; this is the layout of the model file.
+    """
 
     def as_dict(self) -> dict[str, np.ndarray]:
         """Named view of every parameter array (order is fixed)."""
-        return {
-            "encoder.wx": self.encoder.wx,
-            "encoder.wh": self.encoder.wh,
-            "encoder.bias": self.encoder.bias,
-            "latent.weight": self.latent.weight,
-            "latent.bias": self.latent.bias,
-            "decoder.wx": self.decoder.wx,
-            "decoder.wh": self.decoder.wh,
-            "decoder.bias": self.decoder.bias,
-            "readout.weight": self.readout.weight,
-            "readout.bias": self.readout.bias,
-        }
+        return dict(self)
 
     @classmethod
     def from_dict(cls, arrays: dict[str, np.ndarray]) -> "AutoencoderParams":
-        missing = set(cls._NAMES) - set(arrays)
+        names = param_shapes(NetConfig())  # the names do not depend on the dimensions
+        missing = set(names) - set(arrays)
         if missing:
             raise KeyError(f"missing parameter arrays: {sorted(missing)}")
-        a = {k: np.asarray(arrays[k], dtype=np.float64) for k in cls._NAMES}
-        return cls(
-            encoder=LSTMParams(a["encoder.wx"], a["encoder.wh"], a["encoder.bias"]),
-            latent=LinearParams(a["latent.weight"], a["latent.bias"]),
-            decoder=LSTMParams(a["decoder.wx"], a["decoder.wh"], a["decoder.bias"]),
-            readout=LinearParams(a["readout.weight"], a["readout.bias"]),
-        )
-
-    def copy(self) -> "AutoencoderParams":
-        return AutoencoderParams.from_dict(
-            {k: v.copy() for k, v in self.as_dict().items()}
-        )
+        return cls({k: np.asarray(arrays[k], dtype=np.float64) for k in names})
 
 
 def param_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
-    """Shape of every parameter array, keyed and ordered as ``as_dict``."""
+    """Name, order and storage shape of every parameter array.
+
+    The one table of the parameter set: ``init_params`` fills it,
+    ``AutoencoderParams`` and the model file keep its order, and
+    ``fileio.load_model`` checks a loaded model against it.
+    """
     h, n, z = config.lstm_hidden, config.n_features, config.latent_dim
     return {
         "encoder.wx": (4 * h, n),
@@ -156,77 +124,30 @@ def init_params(config: NetConfig, seed: int) -> AutoencoderParams:
     )
 
 
-@dataclass
-class LSTMLeaves:
-    """One LSTM's parameters lifted onto a tape (weights pre-transposed)."""
-
-    wx_t: Var  # [in, 4h]
-    wh_t: Var  # [h, 4h]
-    bias: Var  # [4h]
-    hidden: int
-
-
-@dataclass
-class LinearLeaves:
-    weight_t: Var  # [in, out]
-    bias: Var  # [out]
-
-
-@dataclass
-class AutoencoderLeaves:
-    encoder: LSTMLeaves
-    latent: LinearLeaves
-    decoder: LSTMLeaves
-    readout: LinearLeaves
-    leaves: dict[str, Var] = field(default_factory=dict)
-
-
 def lift_params(tape: Tape, params: AutoencoderParams,
-                requires_grad: bool) -> AutoencoderLeaves:
-    """Register all parameters as leaves of ``tape``.
+                requires_grad: bool) -> dict[str, Var]:
+    """Register every parameter array as one leaf of ``tape``, keyed as ``params``.
 
-    ``requires_grad=False`` freezes them: backward never touches the
-    parameter side of the graph. The returned ``leaves`` dict keys match
-    ``AutoencoderParams.as_dict`` and point at the untransposed leaves, so
-    gradients can be read out in storage layout.
+    Matrices are lifted transposed, ``[in, out]``, the layout the forward
+    pass multiplies by, so a matrix leaf's gradient is the transpose of
+    the storage-layout gradient. ``requires_grad=False`` freezes them:
+    backward never touches the parameter side of the graph.
     """
-    raw = {name: tape.leaf(arr, requires_grad=requires_grad)
-           for name, arr in params.as_dict().items()}
-
-    def lstm(prefix: str, h: int) -> LSTMLeaves:
-        return LSTMLeaves(
-            wx_t=tape.transpose(raw[f"{prefix}.wx"]),
-            wh_t=tape.transpose(raw[f"{prefix}.wh"]),
-            bias=raw[f"{prefix}.bias"],
-            hidden=h,
-        )
-
-    def linear(prefix: str) -> LinearLeaves:
-        return LinearLeaves(
-            weight_t=tape.transpose(raw[f"{prefix}.weight"]),
-            bias=raw[f"{prefix}.bias"],
-        )
-
-    h = params.encoder.wh.shape[1]
-    return AutoencoderLeaves(
-        encoder=lstm("encoder", h),
-        latent=linear("latent"),
-        decoder=lstm("decoder", h),
-        readout=linear("readout"),
-        leaves=raw,
-    )
+    return {name: tape.leaf(arr.T, requires_grad=requires_grad)
+            for name, arr in params.items()}
 
 
-def lstm_step(tape: Tape, p: LSTMLeaves, x: Var, h_prev: Var,
-              c_prev: Var) -> tuple[Var, Var]:
-    """One LSTM time step on a batch.
+def lstm_step(tape: Tape, net: dict[str, Var], prefix: str, x: Var,
+              h_prev: Var, c_prev: Var) -> tuple[Var, Var]:
+    """One step of the LSTM ``prefix`` ("encoder" or "decoder") on a batch.
 
     ``x`` is ``[batch, in]``, states are ``[batch, hidden]``. Gate
     pre-activations are computed stacked then split per GATE_ORDER.
     """
-    h = p.hidden
-    pre = tape.add_bias(tape.add(tape.matmul(x, p.wx_t),
-                                 tape.matmul(h_prev, p.wh_t)), p.bias)
+    wh = net[f"{prefix}.wh"]
+    h = wh.shape[0]
+    pre = tape.add_bias(tape.add(tape.matmul(x, net[f"{prefix}.wx"]),
+                                 tape.matmul(h_prev, wh)), net[f"{prefix}.bias"])
     gate_i = tape.sigmoid(tape.slice_cols(pre, range(0, h)))
     gate_f = tape.sigmoid(tape.slice_cols(pre, range(h, 2 * h)))
     cand = tape.tanh(tape.slice_cols(pre, range(2 * h, 3 * h)))
@@ -236,44 +157,35 @@ def lstm_step(tape: Tape, p: LSTMLeaves, x: Var, h_prev: Var,
     return h_new, c_new
 
 
-def _linear(tape: Tape, p: LinearLeaves, x: Var) -> Var:
-    return tape.add_bias(tape.matmul(x, p.weight_t), p.bias)
+def _linear(tape: Tape, net: dict[str, Var], prefix: str, x: Var) -> Var:
+    return tape.add_bias(tape.matmul(x, net[f"{prefix}.weight"]), net[f"{prefix}.bias"])
 
 
-@dataclass
-class ForwardDetail:
-    outputs: list[Var]  # per step, [batch, n_features]
-    latents: list[Var]  # per step, [batch, latent_dim]
-
-
-def forward_steps(tape: Tape, net: AutoencoderLeaves,
-                  xs: Sequence[Var]) -> ForwardDetail:
+def forward_steps(tape: Tape, net: dict[str, Var],
+                  xs: Sequence[Var]) -> list[Var]:
     """Batched forward pass over per-step input matrices.
 
     ``xs[t]`` holds row ``t`` of every window, shape ``[batch, n]``. The
-    outputs list mirrors that layout. Latents are exposed for inspection
-    (they are tanh-bounded to (-1, 1)).
+    returned outputs mirror that layout.
     """
-    batch = xs[0].shape[0]
-    h = net.encoder.hidden
-    zeros = np.zeros((batch, h))
+    zeros = np.zeros((xs[0].shape[0], net["encoder.wh"].shape[0]))
     h_enc = tape.leaf(zeros)
     c_enc = tape.leaf(zeros)
     latents = []
     for x in xs:
-        h_enc, c_enc = lstm_step(tape, net.encoder, x, h_enc, c_enc)
-        latents.append(tape.tanh(_linear(tape, net.latent, h_enc)))
+        h_enc, c_enc = lstm_step(tape, net, "encoder", x, h_enc, c_enc)
+        latents.append(tape.tanh(_linear(tape, net, "latent", h_enc)))
 
     h_dec = tape.leaf(zeros)
     c_dec = tape.leaf(zeros)
     outputs = []
     for z in latents:
-        h_dec, c_dec = lstm_step(tape, net.decoder, z, h_dec, c_dec)
-        outputs.append(_linear(tape, net.readout, h_dec))
-    return ForwardDetail(outputs=outputs, latents=latents)
+        h_dec, c_dec = lstm_step(tape, net, "decoder", z, h_dec, c_dec)
+        outputs.append(_linear(tape, net, "readout", h_dec))
+    return outputs
 
 
-def windowed_forward(tape: Tape, net: AutoencoderLeaves, series: Var,
+def windowed_forward(tape: Tape, net: dict[str, Var], series: Var,
                      seq_len: int) -> tuple[list[Var], list[Var]]:
     """Forward every stride-1 window of a [T, n] series as one batch.
 
@@ -284,10 +196,10 @@ def windowed_forward(tape: Tape, net: AutoencoderLeaves, series: Var,
     """
     num_windows = series.shape[0] - seq_len + 1
     xs = [tape.slice_rows(series, t, t + num_windows) for t in range(seq_len)]
-    return xs, forward_steps(tape, net, xs).outputs
+    return xs, forward_steps(tape, net, xs)
 
 
-def windowed_loss(tape: Tape, net: AutoencoderLeaves, series: Var,
+def windowed_loss(tape: Tape, net: dict[str, Var], series: Var,
                   seq_len: int, weights: Sequence[float]) -> tuple[Var, list[Var]]:
     """The objective of training and reconstruction, plus the step outputs.
 

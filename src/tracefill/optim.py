@@ -67,22 +67,19 @@ class Adam:
 
     Update per array: ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
     then ``x -= lr * m_hat / (sqrt(v_hat) + eps)`` with the usual
-    ``1 - b^t`` corrections. ``step`` returns fresh arrays and never
-    mutates its inputs, so callers control exactly which values change.
+    ``1 - b^t`` corrections and the stock constants below. ``step``
+    returns fresh arrays and never mutates its inputs, so callers control
+    exactly which values change.
     """
 
-    def __init__(self, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, learning_rate: float):
         if not learning_rate > 0:
             raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        if not eps > 0:
-            raise ValueError(f"eps must be positive, got {eps}")
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}

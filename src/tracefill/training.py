@@ -76,7 +76,8 @@ def _dataset_loss_and_grads(params: AutoencoderParams, scaled: np.ndarray,
     net = lift_params(tape, params, requires_grad=True)
     loss, _ = windowed_loss(tape, net, tape.leaf(scaled), seq_len, np.full(n, 1.0 / n))
     grads = tape.backward(loss)
-    named = {name: grads[leaf] for name, leaf in net.leaves.items()}
+    # matrices were lifted transposed; .T returns them in storage layout
+    named = {name: grads[leaf].T for name, leaf in net.items()}
     return loss.item(), named
 
 

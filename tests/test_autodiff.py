@@ -29,7 +29,6 @@ EXPECTED_OPS = {
     "scale",
     "tanh",
     "sigmoid",
-    "transpose",
     "add_bias",
     "concat_rows",
     "concat_cols",
@@ -147,15 +146,6 @@ class TestHandDerivedGradients:
         gx, gbias = grads_of(build)
         np.testing.assert_array_equal(gx, np.ones((2, 2)))
         np.testing.assert_array_equal(gbias, [2.0, 2.0])
-
-    def test_transpose_routes_gradient_back(self):
-        def build(tape):
-            x = tape.leaf([[1.0, 2.0, 3.0]], requires_grad=True)
-            w = tape.leaf([[2.0], [4.0], [8.0]], requires_grad=False)
-            return tape.sum(tape.matmul(tape.transpose(w), tape.transpose(x))), x
-
-        (gx,) = grads_of(build)
-        np.testing.assert_array_equal(gx, [[2.0, 4.0, 8.0]])
 
     def test_slice_rows_gradient_is_zero_outside_range(self):
         def build(tape):

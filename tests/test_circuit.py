@@ -17,7 +17,6 @@ from tracefill.circuit import (
     generate_suite,
     kcl_residual,
     simulate,
-    term_from_dict,
     term_to_dict,
 )
 
@@ -68,18 +67,15 @@ class TestWaveforms:
         np.testing.assert_allclose(spec(0.25e-3), 3.0, rtol=1e-12)
 
     def test_term_serialization_round_trip(self):
-        terms = [
-            Dc(2.5),
-            Sine(1.5, 3e5, 0.7),
-            Trapezoid(-2.0, 3.0, 1e-7, 2e-7, 1e-7, 1e-6),
-        ]
-        for term in terms:
-            clone = term_from_dict(term_to_dict(term))
-            assert clone == term
-
-    def test_unknown_term_kind_raises(self):
-        with pytest.raises(ValueError):
-            term_from_dict({"kind": "sawtooth"})
+        # the manifest's waveform entries, one per term kind
+        assert term_to_dict(Dc(2.5)) == {"kind": "dc", "level": 2.5}
+        assert term_to_dict(Sine(1.5, 3e5, 0.7)) == {
+            "kind": "sine", "amplitude": 1.5, "frequency": 3e5, "phase": 0.7,
+        }
+        assert term_to_dict(Trapezoid(-2.0, 3.0, 1e-7, 2e-7, 1e-7, 1e-6)) == {
+            "kind": "trapezoid", "low": -2.0, "high": 3.0, "rise": 1e-7,
+            "high_time": 2e-7, "fall": 1e-7, "period": 1e-6,
+        }
 
 
 class TestSimulation:

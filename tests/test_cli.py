@@ -390,6 +390,31 @@ class TestEvaluate:
         )
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("lineno,col,cell", [(3, 0, "nan"), (4, 1, "inf"), (5, 2, "-inf")])
+    def test_non_finite_cell_names_file_and_line(self, pipeline, tmp_path, capsys,
+                                                 lineno, col, cell):
+        # a nan time passes the equidistance test, so it is checked on its own
+        _, data_dir, _, out_dir, _ = pipeline
+        lines = (out_dir / "reconstruction_test_1_u2.csv").read_text().splitlines()
+        fields = lines[lineno - 1].split(",")
+        fields[col] = cell
+        lines[lineno - 1] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(
+            [
+                "evaluate",
+                "--result",
+                str(bad),
+                "--truth",
+                str(data_dir / "test_1.csv"),
+                "--out",
+                str(tmp_path / "e"),
+            ]
+        )
+        assert code == EXIT_VALIDATION
+        assert f"{bad}:{lineno}: " in capsys.readouterr().err
+
 
 class TestGradcheck:
     def test_passes_and_prints_per_op_lines(self, capsys):

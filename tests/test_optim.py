@@ -92,8 +92,6 @@ class TestAdam:
     def test_invalid_hyperparameters_raise(self):
         with pytest.raises(ValueError):
             Adam(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            Adam(learning_rate=0.1, beta1=1.0)
 
 
 class TestLosses:

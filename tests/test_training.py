@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 
 from tracefill.autodiff import Tape
-from tracefill.nn import NetConfig, forward_steps, lift_params, windowed_loss
+from tracefill.nn import (
+    AutoencoderParams,
+    NetConfig,
+    forward_steps,
+    init_params,
+    lift_params,
+    windowed_loss,
+)
 from tracefill.optim import mse
 from tracefill.preprocess import TimeSeriesSet, transform, window_stack
 from tracefill.training import (
     TrainConfig,
+    _dataset_loss_and_grads,
     evaluate_model,
     reconstruct_series,
     train,
@@ -29,6 +37,30 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(learning_rate=-1.0)
+
+
+class TestParameterGradients:
+    def test_square_readout_gradient_is_in_storage_layout(self):
+        # n_features == lstm_hidden makes readout.weight square, so a gradient
+        # left in the lifted [in, out] layout would pass Adam's shape check
+        assert TOY_NET.n_features == TOY_NET.lstm_hidden
+        params = init_params(TOY_NET, seed=1)
+        scaled = np.random.default_rng(0).uniform(0.0, 1.0, (12, 4))
+        _, grads = _dataset_loss_and_grads(params, scaled, TOY_NET.seq_len)
+        g = grads["readout.weight"]
+
+        def loss_at(delta):
+            arrays = params.as_dict()
+            arrays["readout.weight"] = arrays["readout.weight"].copy()
+            arrays["readout.weight"][0, 2] += delta
+            return _dataset_loss_and_grads(AutoencoderParams.from_dict(arrays),
+                                           scaled, TOY_NET.seq_len)[0]
+
+        eps = 1e-6
+        numeric = (loss_at(eps) - loss_at(-eps)) / (2.0 * eps)
+        assert g[0, 2] == pytest.approx(numeric, rel=1e-6)
+        # the mirrored entry is far off, so a transposed gradient would fail
+        assert abs(g[2, 0] - numeric) > abs(numeric)
 
 
 class TestTrain:
@@ -113,7 +145,7 @@ class TestTrain:
         def pooled(tape, net):
             windows = window_stack(scaled, seq_len)
             xs = [tape.leaf(np.ascontiguousarray(windows[:, t])) for t in range(seq_len)]
-            outputs = forward_steps(tape, net, xs).outputs
+            outputs = forward_steps(tape, net, xs)
             return mse(tape, tape.concat_rows(xs), tape.concat_rows(outputs))
 
         results = []
@@ -122,7 +154,7 @@ class TestTrain:
             net = lift_params(tape, model.params, requires_grad=True)
             loss = build(tape, net)
             grads = tape.backward(loss)
-            results.append((loss.item(), {k: grads[v] for k, v in net.leaves.items()}))
+            results.append((loss.item(), {k: grads[v] for k, v in net.items()}))
         (loss_a, grads_a), (loss_b, grads_b) = results
         assert loss_a == loss_b
         for name in grads_a:
