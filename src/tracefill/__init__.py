@@ -34,7 +34,6 @@ from .nn import (
     forward_steps,
     init_params,
     lift_params,
-    lstm_step,
     param_count,
 )
 from .optim import Adam, mse, reduced_loss

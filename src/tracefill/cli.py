@@ -220,6 +220,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise CliError(
             f"length mismatch: result {result.n_samples} vs truth {truth.n_samples}"
         )
+    # the reader's tolerance on dt; t0 gets the same absolute bound
+    tol = fileio.REL_TIME_TOL * abs(truth.dt)
+    if abs(result.dt - truth.dt) > tol or abs(result.t0 - truth.t0) > tol:
+        raise CliError(
+            f"sampling mismatch: {args.result} has t0 {result.t0!r}, dt {result.dt!r}; "
+            f"{args.truth} has t0 {truth.t0!r}, dt {truth.dt!r}"
+        )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -20,7 +20,7 @@ from .training import HistoryRow, TrainedModel
 
 MODEL_FORMAT_VERSION = 1
 TIME_COLUMN = "time_s"
-_REL_TIME_TOL = 1e-9
+REL_TIME_TOL = 1e-9
 
 
 class FormatError(ValueError):
@@ -79,7 +79,7 @@ def read_dataset_csv(path: str | Path) -> TimeSeriesSet:
     if not dt > 0:
         raise FormatError(f"{path}: time column must be strictly increasing")
     gaps = np.diff(times)
-    if np.any(np.abs(gaps - dt) > _REL_TIME_TOL * abs(dt)):
+    if np.any(np.abs(gaps - dt) > REL_TIME_TOL * abs(dt)):
         worst = int(np.argmax(np.abs(gaps - dt)))
         raise FormatError(
             f"{path}: time column not equidistant near row {worst + 2} "
@@ -190,6 +190,16 @@ def load_model(path: str | Path) -> TrainedModel:
             raise FormatError(
                 f"{path}: {name} has shape {arrays[name].shape}, expected {shape}"
             )
+    finite = {"scaler.mins": scaler.mins, "scaler.maxs": scaler.maxs,
+              **{name: arrays[name] for name in param_shapes(net)}}
+    for name, arr in finite.items():
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: {name} contains NaN or Inf, values must be finite")
+    for bad, what in ((scaler.maxs < scaler.mins, "scaler.maxs is below scaler.mins"),
+                      (scaler.constant != (scaler.mins == scaler.maxs),
+                       "scaler.constant disagrees with scaler.mins == scaler.maxs")):
+        if bad.any():
+            raise FormatError(f"{path}: {what} for feature {names[int(np.argmax(bad))]!r}")
     return TrainedModel(params=AutoencoderParams.from_dict(arrays), scaler=scaler,
                         net=net, feature_names=names, **meta)
 
@@ -202,7 +212,10 @@ def write_manifest(path: str | Path, manifest: dict) -> None:
 
 def read_manifest(path: str | Path) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: not valid JSON: {exc}") from None
 
 
 def write_spectrum_csv(path: str | Path, freqs: np.ndarray,

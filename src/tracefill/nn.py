@@ -6,10 +6,13 @@ an LSTM decoder consumes the latent sequence, and a linear readout (no
 activation) maps each decoder state back to feature space. All recurrent
 state starts at zero.
 
-Forward passes are expressed once, batched across windows: at step ``t``
-the input is a ``[num_windows, n_features]`` matrix. A single window is
-the ``num_windows == 1`` special case, so every code path shares the same
-tape ops. ``windowed_loss`` is the one objective that training (over the
+Forward passes are expressed once, batched across windows, on step-major
+stacks: rows ``t*B .. (t+1)*B`` of a ``[seq_len*B, n]`` tensor hold step
+``t`` of all B windows. Each LSTM layer is one fused ``lstm`` tape op
+over the whole stack, and the latent head and readout are one matmul
+each over all ``seq_len*B`` rows, so a forward pass records seven ops
+whatever the window count. A single window is the ``B == 1`` special
+case. ``windowed_loss`` is the one objective that training (over the
 weights) and reconstruction (over a missing column) both minimize.
 
 The parameters are one table of ten named arrays, spelled out only in
@@ -26,13 +29,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Var
+# GATE_ORDER is re-exported: the gate layout of the stored LSTM arrays
+from .autodiff import GATE_ORDER, Tape, Var
 from .optim import reduced_loss
 from .rng import Xoshiro256
-
-# Gate blocks inside stacked LSTM parameters, in fixed order:
-# input gate, forget gate, candidate, output gate.
-GATE_ORDER = ("input", "forget", "candidate", "output")
 
 
 @dataclass(frozen=True)
@@ -137,76 +137,53 @@ def lift_params(tape: Tape, params: AutoencoderParams,
             for name, arr in params.items()}
 
 
-def lstm_step(tape: Tape, net: dict[str, Var], prefix: str, x: Var,
-              h_prev: Var, c_prev: Var) -> tuple[Var, Var]:
-    """One step of the LSTM ``prefix`` ("encoder" or "decoder") on a batch.
-
-    ``x`` is ``[batch, in]``, states are ``[batch, hidden]``. Gate
-    pre-activations are computed stacked then split per GATE_ORDER.
-    """
-    wh = net[f"{prefix}.wh"]
-    h = wh.shape[0]
-    pre = tape.add_bias(tape.add(tape.matmul(x, net[f"{prefix}.wx"]),
-                                 tape.matmul(h_prev, wh)), net[f"{prefix}.bias"])
-    gate_i = tape.sigmoid(tape.slice_cols(pre, range(0, h)))
-    gate_f = tape.sigmoid(tape.slice_cols(pre, range(h, 2 * h)))
-    cand = tape.tanh(tape.slice_cols(pre, range(2 * h, 3 * h)))
-    gate_o = tape.sigmoid(tape.slice_cols(pre, range(3 * h, 4 * h)))
-    c_new = tape.add(tape.mul(gate_f, c_prev), tape.mul(gate_i, cand))
-    h_new = tape.mul(gate_o, tape.tanh(c_new))
-    return h_new, c_new
-
-
 def _linear(tape: Tape, net: dict[str, Var], prefix: str, x: Var) -> Var:
     return tape.add_bias(tape.matmul(x, net[f"{prefix}.weight"]), net[f"{prefix}.bias"])
 
 
-def forward_steps(tape: Tape, net: dict[str, Var],
-                  xs: Sequence[Var]) -> list[Var]:
-    """Batched forward pass over per-step input matrices.
+def _lstm(tape: Tape, net: dict[str, Var], prefix: str, x: Var, steps: int) -> Var:
+    return tape.lstm(x, net[f"{prefix}.wx"], net[f"{prefix}.wh"], net[f"{prefix}.bias"],
+                     steps)
 
-    ``xs[t]`` holds row ``t`` of every window, shape ``[batch, n]``. The
-    returned outputs mirror that layout.
+
+def forward_steps(tape: Tape, net: dict[str, Var], x: Var, steps: int) -> Var:
+    """Batched forward pass over a step-major stack of windows.
+
+    Rows ``t*B .. (t+1)*B`` of ``x`` (``[steps*B, n]``) hold step ``t`` of
+    every window; the returned output stack has the same layout.
     """
-    zeros = np.zeros((xs[0].shape[0], net["encoder.wh"].shape[0]))
-    h_enc = tape.leaf(zeros)
-    c_enc = tape.leaf(zeros)
-    latents = []
-    for x in xs:
-        h_enc, c_enc = lstm_step(tape, net, "encoder", x, h_enc, c_enc)
-        latents.append(tape.tanh(_linear(tape, net, "latent", h_enc)))
-
-    h_dec = tape.leaf(zeros)
-    c_dec = tape.leaf(zeros)
-    outputs = []
-    for z in latents:
-        h_dec, c_dec = lstm_step(tape, net, "decoder", z, h_dec, c_dec)
-        outputs.append(_linear(tape, net, "readout", h_dec))
-    return outputs
+    h_enc = _lstm(tape, net, "encoder", x, steps)
+    latent = tape.tanh(_linear(tape, net, "latent", h_enc))
+    return _linear(tape, net, "readout", _lstm(tape, net, "decoder", latent, steps))
 
 
 def windowed_forward(tape: Tape, net: dict[str, Var], series: Var,
-                     seq_len: int) -> tuple[list[Var], list[Var]]:
+                     seq_len: int) -> tuple[Var, Var]:
     """Forward every stride-1 window of a [T, n] series as one batch.
 
     Step ``t`` of every window is the row block [t, t + T - seq_len + 1) of
     the series, taken with one differentiable slice, so a sample that sits
-    in k windows receives k gradient contributions. Returns the per-step
-    inputs and outputs, each ``[num_windows, n]``.
+    in k windows receives k gradient contributions. Returns the step-major
+    input and output stacks, each ``[seq_len * num_windows, n]``.
     """
     num_windows = series.shape[0] - seq_len + 1
-    xs = [tape.slice_rows(series, t, t + num_windows) for t in range(seq_len)]
-    return xs, forward_steps(tape, net, xs)
+    x = tape.concat_rows([tape.slice_rows(series, t, t + num_windows)
+                          for t in range(seq_len)])
+    return x, forward_steps(tape, net, x, seq_len)
 
 
 def windowed_loss(tape: Tape, net: dict[str, Var], series: Var,
-                  seq_len: int, weights: Sequence[float]) -> tuple[Var, list[Var]]:
-    """The objective of training and reconstruction, plus the step outputs.
+                  seq_len: int, weights: Sequence[float]) -> tuple[Var, Var]:
+    """The objective of training and reconstruction, plus the output stack.
 
     Sum over features j of ``weights[j]`` times the mean-square error
     between the inputs and outputs of every stride-1 window of ``series``
     in column j. A feature with weight 0 does not enter the loss.
     """
-    xs, outputs = windowed_forward(tape, net, series, seq_len)
-    loss = reduced_loss(tape, tape.concat_rows(xs), tape.concat_rows(outputs), weights)
-    return loss, outputs
+    x, y = windowed_forward(tape, net, series, seq_len)
+    return reduced_loss(tape, x, y, weights), y
+
+
+def window_outputs(y: Var, seq_len: int) -> np.ndarray:
+    """An output stack of ``windowed_forward`` as ``[num_windows, seq_len, n]``."""
+    return y.value.reshape(seq_len, -1, y.shape[1]).swapaxes(0, 1)

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import preprocess
 from .autodiff import Tape
-from .nn import lift_params, windowed_loss
+from .nn import lift_params, window_outputs, windowed_loss
 from .optim import Adam
 from .training import DivergenceError, TrainedModel
 
@@ -157,8 +157,8 @@ def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
             leaves[n] if n in leaves else tape.leaf(avail_cols[n][:, None])
             for n in names
         ])
-        loss, outputs = windowed_loss(tape, net, series, model.net.seq_len, weights)
-        return loss, leaves, outputs
+        loss, y = windowed_loss(tape, net, series, model.net.seq_len, weights)
+        return loss, leaves, y
 
     for epoch in range(epochs):
         tape = Tape()
@@ -171,12 +171,10 @@ def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
         estimates = adam.step(estimates, named_grads)
         history.append(value)
 
-    final, _, outputs = build(Tape(), estimates)
+    final, _, y = build(Tape(), estimates)
     final_loss = final.item()
     initial_loss = history[0] if history else final_loss
-    recon_scaled = preprocess.overlap_mean_values(
-        np.stack([y.value for y in outputs], axis=1), T
-    )
+    recon_scaled = preprocess.overlap_mean_values(window_outputs(y, model.net.seq_len), T)
 
     def to_data(m: str, scaled: np.ndarray) -> np.ndarray:
         return model.scaler.inverse_transform_columns(scaled[:, None], [m]).ravel()

@@ -21,6 +21,7 @@ from .nn import (
     NetConfig,
     init_params,
     lift_params,
+    window_outputs,
     windowed_forward,
     windowed_loss,
 )
@@ -150,9 +151,10 @@ def reconstruct_series(model: TrainedModel,
     """Forward every window of a scaled [T, n] array and merge by overlap mean."""
     tape = Tape()
     net = lift_params(tape, model.params, requires_grad=False)
-    _, outputs = windowed_forward(tape, net, tape.leaf(scaled_values), model.net.seq_len)
-    windows = np.stack([y.value for y in outputs], axis=1)
-    return preprocess.overlap_mean_values(windows, scaled_values.shape[0])
+    seq_len = model.net.seq_len
+    _, y = windowed_forward(tape, net, tape.leaf(scaled_values), seq_len)
+    return preprocess.overlap_mean_values(window_outputs(y, seq_len),
+                                          scaled_values.shape[0])
 
 
 def evaluate_model(model: TrainedModel,

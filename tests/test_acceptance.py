@@ -207,11 +207,8 @@ class TestCriterion4:
         tape = Tape()
         x = tape.leaf(np.linspace(0.0, 1.0, T).reshape(T, 1), requires_grad=True)
         num = T - s + 1
-        total = None
-        for t in range(s):
-            part = tape.sum(tape.slice_rows(x, t, t + num))
-            total = part if total is None else tape.add(total, part)
-        grads = tape.backward(total)
+        windows = tape.concat_rows([tape.slice_rows(x, t, t + num) for t in range(s)])
+        grads = tape.backward(tape.sum(windows))
         expected = coverage_counts(T, s).astype(float).reshape(T, 1)
         ok = np.array_equal(grads[x], expected)
         verdict(

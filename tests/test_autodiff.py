@@ -23,12 +23,11 @@ from tracefill.autodiff import (
 )
 
 EXPECTED_OPS = {
-    "add",
+    "lstm",
     "mul",
     "matmul",
     "scale",
     "tanh",
-    "sigmoid",
     "add_bias",
     "concat_rows",
     "concat_cols",
@@ -90,33 +89,6 @@ class TestHandDerivedGradients:
 
         (gx,) = grads_of(build)
         np.testing.assert_array_equal(gx, [1.75, 1.75])
-
-    def test_sigmoid_at_zero(self):
-        tape = Tape()
-        x = tape.leaf([0.0], requires_grad=True)
-        y = tape.sigmoid(x)
-        assert y.value[0] == 0.5
-        grads = tape.backward(tape.sum(y))
-        np.testing.assert_array_equal(grads[x], [0.25])
-
-    def test_sigmoid_saturates_without_overflow(self):
-        tape = Tape()
-        x = tape.leaf([-800.0, 800.0], requires_grad=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            y = tape.sigmoid(x)
-            grads = tape.backward(tape.sum(y))
-        assert np.isfinite(y.value).all()
-        assert ((y.value >= 0.0) & (y.value <= 1.0)).all()
-        np.testing.assert_array_equal(y.value, [0.0, 1.0])
-        np.testing.assert_array_equal(grads[x], [0.0, 0.0])
-
-    def test_sigmoid_matches_logistic_reference(self):
-        xs = np.linspace(-30.0, 30.0, 6001)
-        tape = Tape()
-        y = tape.sigmoid(tape.leaf(xs))
-        reference = 1.0 / (1.0 + np.exp(-xs))
-        assert np.abs(y.value - reference).max() <= 1e-15
 
     def test_tanh_at_zero_has_unit_slope(self):
         tape = Tape()
@@ -186,13 +158,13 @@ class TestHandDerivedGradients:
         np.testing.assert_array_equal(gb, np.ones((2, 2)))
 
     def test_reused_variable_accumulates_both_paths(self):
-        # loss = sum(x*x + x); gradient 2x + 1 is exact for x = 0.5
+        # loss = sum(x*x) + sum(x); gradient 2x + 1 is exact for x = 0.5
         def build(tape):
-            x = tape.leaf([0.5, -1.5], requires_grad=True)
-            return tape.sum(tape.add(tape.mul(x, x), x)), x
+            x = tape.leaf([[0.5, -1.5]], requires_grad=True)
+            return tape.sum(tape.concat_rows([tape.mul(x, x), x])), x
 
         (gx,) = grads_of(build)
-        np.testing.assert_array_equal(gx, [2.0, -2.0])
+        np.testing.assert_array_equal(gx, [[2.0, -2.0]])
 
 
 class TestTapeMechanics:
@@ -227,7 +199,7 @@ class TestTapeMechanics:
     def test_gradient_arrays_are_independent_copies(self):
         tape = Tape()
         x = tape.leaf([1.0, 1.0], requires_grad=True)
-        y = tape.add(x, x)
+        y = tape.mul(x, x)
         grads_a = tape.backward(tape.sum(y))
         grads_b = tape.backward(tape.sum(y))
         grads_a[x][0] = 17.0
@@ -245,12 +217,12 @@ class TestTapeMechanics:
         with pytest.raises(ShapeError):
             tape.leaf(np.zeros((2, 2, 2)))
 
-    def test_mismatched_add_raises(self):
+    def test_mismatched_mul_raises(self):
         tape = Tape()
         a = tape.leaf([[1.0, 2.0]])
         b = tape.leaf([[1.0], [2.0]])
         with pytest.raises(ShapeError):
-            tape.add(a, b)
+            tape.mul(a, b)
 
     def test_mismatched_matmul_raises(self):
         tape = Tape()
@@ -280,6 +252,121 @@ class TestTapeMechanics:
             tape.apply("no_such_op", x)
 
 
+def reference_lstm(x, wx, wh, bias, steps, g):
+    """Per-step LSTM in plain numpy: forward, then backprop of sum(out * g).
+
+    The algebra of a composite step: pre = x_t wx + h_{t-1} wh + bias, gate
+    blocks (i, f, candidate, o), logistic gates, c_t = f c_{t-1} + i cand,
+    h_t = o tanh(c_t), zero initial state. Returns the stacked hidden
+    states and the gradients of x, wx, wh and bias.
+    """
+    batch, h = x.shape[0] // steps, wh.shape[0]
+
+    def logistic(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    hs, cs, cache = [np.zeros((batch, h))], [np.zeros((batch, h))], []
+    for t in range(steps):
+        pre = x[t * batch:(t + 1) * batch] @ wx + hs[-1] @ wh + bias
+        i, f = logistic(pre[:, :h]), logistic(pre[:, h:2 * h])
+        cand, o = np.tanh(pre[:, 2 * h:3 * h]), logistic(pre[:, 3 * h:])
+        c = f * cs[-1] + i * cand
+        cache.append((i, f, cand, o, np.tanh(c)))
+        cs.append(c)
+        hs.append(o * np.tanh(c))
+
+    gx, gwx = np.zeros_like(x), np.zeros_like(wx)
+    gwh, gb = np.zeros_like(wh), np.zeros_like(bias)
+    dh_next, dc_next = np.zeros((batch, h)), np.zeros((batch, h))
+    for t in reversed(range(steps)):
+        rows = slice(t * batch, (t + 1) * batch)
+        i, f, cand, o, tanh_c = cache[t]
+        dh = g[rows] + dh_next
+        dc = dc_next + dh * o * (1.0 - tanh_c ** 2)
+        dpre = np.concatenate([
+            dc * cand * i * (1.0 - i),
+            dc * cs[t] * f * (1.0 - f),
+            dc * i * (1.0 - cand ** 2),
+            dh * tanh_c * o * (1.0 - o),
+        ], axis=1)
+        gx[rows] = dpre @ wx.T
+        gwx += x[rows].T @ dpre
+        gwh += hs[t].T @ dpre
+        gb += dpre.sum(axis=0)
+        dh_next, dc_next = dpre @ wh.T, dc * f
+    return np.concatenate(hs[1:]), (gx, gwx, gwh, gb)
+
+
+def relative_error(got, expected):
+    """Max abs difference over the reference's max magnitude (absolute if 0:
+    with one step, wh never multiplies a nonzero state)."""
+    scale = np.abs(expected).max()
+    return float(np.abs(got - expected).max() / (scale if scale else 1.0))
+
+
+class TestLSTMOp:
+    @pytest.mark.parametrize("steps", [1, 2, 3, 5])
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("wrt", ["x", "weights"])
+    def test_matches_per_step_reference(self, steps, batch, wrt):
+        rng = np.random.default_rng(100 * steps + batch)
+        n_in, h = 3, 4
+        inputs = [
+            rng.uniform(-1.0, 1.0, (steps * batch, n_in)),
+            rng.uniform(-0.8, 0.8, (n_in, 4 * h)),
+            rng.uniform(-0.8, 0.8, (h, 4 * h)),
+            rng.uniform(-0.5, 0.5, 4 * h),
+        ]
+        upstream = rng.uniform(-1.0, 1.0, (steps * batch, h))
+        expected_out, expected_grads = reference_lstm(*inputs, steps, upstream)
+
+        tape = Tape()
+        needs = [wrt == "x", wrt == "weights", wrt == "weights", wrt == "weights"]
+        leaves = [tape.leaf(v, requires_grad=r) for v, r in zip(inputs, needs)]
+        out = tape.lstm(*leaves, steps=steps)
+        grads = tape.backward(tape.sum(tape.mul(out, tape.leaf(upstream))))
+
+        assert relative_error(out.value, expected_out) <= 1e-12
+        for leaf, need, expected in zip(leaves, needs, expected_grads):
+            if need:
+                assert relative_error(grads[leaf], expected) <= 1e-12
+            else:
+                assert leaf not in grads
+
+    def test_saturated_gates_stay_finite_without_warnings(self):
+        # pre-activations of +-800: every gate and the candidate saturate
+        h = 2
+        tape = Tape()
+        x = tape.leaf(np.ones((6, 1)), requires_grad=True)
+        wx = tape.leaf(np.zeros((1, 4 * h)), requires_grad=True)
+        wh = tape.leaf(np.zeros((h, 4 * h)), requires_grad=True)
+        bias = tape.leaf(np.tile([800.0, -800.0], 4 * h // 2), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = tape.lstm(x, wx, wh, bias, steps=3)
+            grads = tape.backward(tape.sum(out))
+        assert np.isfinite(out.value).all()
+        for leaf in (x, wx, wh, bias):
+            assert np.isfinite(grads[leaf]).all()
+
+    @pytest.mark.parametrize(
+        "x_shape,wx_shape,wh_shape,bias_shape,steps",
+        [
+            ((6, 3), (3, 8), (2, 8), (8,), 4),  # rows do not split into steps
+            ((6, 3), (3, 8), (2, 8), (8,), 0),
+            ((6, 3), (2, 8), (2, 8), (8,), 3),  # wx rows != input width
+            ((6, 3), (3, 8), (2, 6), (8,), 3),  # wh not [h, 4h]
+            ((6, 3), (3, 8), (2, 8), (6,), 3),  # bias not [4h]
+            ((6,), (3, 8), (2, 8), (8,), 3),
+        ],
+    )
+    def test_wrong_shapes_raise(self, x_shape, wx_shape, wh_shape, bias_shape, steps):
+        tape = Tape()
+        args = [tape.leaf(np.ones(s)) for s in (x_shape, wx_shape, wh_shape, bias_shape)]
+        with pytest.raises(ShapeError):
+            tape.lstm(*args, steps=steps)
+
+
 class TestGradCheckHarness:
     def test_eps_outside_allowed_band_raises(self):
         def f(tape, x):
@@ -295,7 +382,7 @@ class TestGradCheckHarness:
             w = tape.leaf([[0.7, -0.3], [0.2, 0.9]])
             bias = tape.leaf([0.1, -0.2])
             h = tape.tanh(tape.add_bias(tape.matmul(x, w), bias))
-            gate = tape.sigmoid(tape.matmul(h, w))
+            gate = tape.tanh(tape.matmul(h, w))
             target = tape.leaf(np.full((3, 2), 0.25))
             return tape.mean_sq_diff(tape.mul(h, gate), target)
 
@@ -320,9 +407,9 @@ class TestGradientProperties:
         # so the gradients must agree exactly
         tape = Tape()
         x = tape.leaf(values, requires_grad=True)
-        left = tape.sum(tape.slice_cols(x, (0,)))
-        right = tape.sum(tape.slice_cols(x, (1, 2)))
-        grads = tape.backward(tape.add(left, right))
+        left = tape.slice_cols(x, (0,))
+        right = tape.slice_cols(x, (1, 2))
+        grads = tape.backward(tape.sum(tape.concat_cols([left, right])))
         np.testing.assert_array_equal(grads[x], np.ones_like(values))
 
     @given(
@@ -331,11 +418,11 @@ class TestGradientProperties:
     )
     @settings(max_examples=25, deadline=None)
     def test_linearity_of_accumulation(self, a_vals, b_vals):
-        # grad of sum(a+a) is exactly twice grad of sum(a)
+        # grad of sum(a) + sum(a) is exactly twice grad of sum(a)
         tape = Tape()
         a = tape.leaf(a_vals, requires_grad=True)
         b = tape.leaf(b_vals, requires_grad=True)
-        loss = tape.sum(tape.add(tape.add(a, a), b))
+        loss = tape.sum(tape.concat_rows([a, a, b]))
         grads = tape.backward(loss)
         np.testing.assert_array_equal(grads[a], np.full_like(a_vals, 2.0))
         np.testing.assert_array_equal(grads[b], np.ones_like(b_vals))

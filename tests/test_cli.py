@@ -7,8 +7,9 @@ import pytest
 
 from tracefill.autodiff import Tape, registered_ops
 from tracefill.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
-from tracefill.fileio import read_dataset_csv, read_manifest
+from tracefill.fileio import read_dataset_csv, read_manifest, write_dataset_csv
 from tracefill.nn import NetConfig
+from tracefill.preprocess import TimeSeriesSet
 from tracefill.training import TrainConfig, train
 
 
@@ -173,6 +174,17 @@ class TestTrain:
         assert code == EXIT_VALIDATION
         assert "manifest.json" in capsys.readouterr().err
 
+    def test_manifest_that_is_not_json_names_the_file(self, pipeline, tmp_path, capsys):
+        _, data_dir, *_ = pipeline
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "train_1.csv").write_bytes((data_dir / "train_1.csv").read_bytes())
+        (data / "manifest.json").write_text("{not json")
+        code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
+                     "--epochs", "1"])
+        assert code == EXIT_VALIDATION
+        assert f"{data / 'manifest.json'}: not valid JSON" in capsys.readouterr().err
+
 
 class TestReconstruct:
     def test_writes_result_and_loss_curve(self, pipeline):
@@ -326,6 +338,33 @@ class TestReconstruct:
         )
         assert "need 4 entries" in err
 
+    @pytest.mark.parametrize(
+        "where,value,message",
+        [
+            (("params", "encoder.wx", "data", 5), float("nan"),
+             "encoder.wx contains NaN or Inf"),
+            (("params", "readout.bias", "data", 0), float("inf"),
+             "readout.bias contains NaN or Inf"),
+            (("scaler", "mins", 0), float("nan"), "scaler.mins contains NaN or Inf"),
+            (("scaler", "maxs", 1), -1e9, "scaler.maxs is below scaler.mins"),
+            (("scaler", "constant", 2), True,
+             "scaler.constant disagrees with scaler.mins == scaler.maxs"),
+        ],
+        ids=["nan-param", "inf-param", "nan-mins", "maxs-below-mins", "constant-flag"],
+    )
+    def test_corrupt_model_values_fail_validation(self, pipeline, tmp_path, capsys,
+                                                  where, value, message):
+        _, data_dir, model_path, *_ = pipeline
+        doc = json.loads(model_path.read_text())
+        owner = doc
+        for key in where[:-1]:
+            owner = owner[key]
+        owner[where[-1]] = value
+        err = self.reconstruct_with_model_text(
+            data_dir, tmp_path, capsys, json.dumps(doc)
+        )
+        assert message in err
+
 
 class TestOpUsage:
     def test_update_and_epoch_record_every_op_but_sum(self, pipeline, tmp_path,
@@ -414,6 +453,26 @@ class TestEvaluate:
         )
         assert code == EXIT_VALIDATION
         assert f"{bad}:{lineno}: " in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("change", ["dt x10", "t0 +5us"])
+    def test_truth_sampled_differently_fails_validation(self, pipeline, tmp_path, capsys,
+                                                        change):
+        _, data_dir, _, out_dir, _ = pipeline
+        truth = read_dataset_csv(data_dir / "test_1.csv")
+        if change == "dt x10":
+            moved = TimeSeriesSet(truth.feature_names, truth.t0, truth.dt * 10, truth.values)
+        else:
+            moved = TimeSeriesSet(truth.feature_names, truth.t0 + 5e-6, truth.dt,
+                                  truth.values)
+        bad = tmp_path / "truth.csv"
+        write_dataset_csv(bad, moved)
+        result = out_dir / "reconstruction_test_1_u2.csv"
+        code = main(["evaluate", "--result", str(result), "--truth", str(bad),
+                     "--out", str(tmp_path / "e")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert str(result) in err and str(bad) in err
 
 
 class TestGradcheck:

@@ -13,7 +13,6 @@ from tracefill.nn import (
     forward_steps,
     init_params,
     lift_params,
-    lstm_step,
     param_count,
     param_shapes,
     windowed_forward,
@@ -22,8 +21,7 @@ from tracefill.nn import (
 
 def forward_window(tape, net, window):
     """Forward one [seq_len, n] window as a batch of one; [seq_len, n] out."""
-    _, outputs = windowed_forward(tape, net, window, window.shape[0])
-    return tape.concat_rows(outputs)
+    return windowed_forward(tape, net, window, window.shape[0])[1]
 
 
 def zero_params(config: NetConfig) -> AutoencoderParams:
@@ -117,47 +115,54 @@ class TestInitialization:
 
 
 class TestLSTMStep:
-    def _step(self, params, x_val, h_val, c_val, hidden):
+    """Cell algebra of the fused ``lstm`` op, read through the stored layout."""
+
+    @staticmethod
+    def _run(params, x_val, steps):
         tape = Tape()
         net = lift_params(tape, params, requires_grad=False)
         x = tape.leaf(np.asarray(x_val, dtype=float))
-        h_prev = tape.leaf(np.asarray(h_val, dtype=float))
-        c_prev = tape.leaf(np.asarray(c_val, dtype=float))
-        h, c = lstm_step(tape, net, "encoder", x, h_prev, c_prev)
-        return h.value, c.value
+        return tape.lstm(x, net["encoder.wx"], net["encoder.wh"], net["encoder.bias"],
+                         steps).value
 
     def test_zero_params_zero_state_gives_zero_output(self):
+        # gates are 0.5 and the candidate 0, so c and h stay 0 at every step
         config = NetConfig(n_features=4, lstm_hidden=4, latent_dim=2)
-        params = zero_params(config)
-        h, c = self._step(
-            params, np.ones((1, 4)), np.zeros((1, 4)), np.zeros((1, 4)), 4
-        )
-        np.testing.assert_array_equal(c, np.zeros((1, 4)))
-        np.testing.assert_array_equal(h, np.zeros((1, 4)))
+        h = self._run(zero_params(config), np.ones((3, 4)), steps=3)
+        np.testing.assert_array_equal(h, np.zeros((3, 4)))
 
     def test_zero_params_unit_cell_state(self):
-        # gates are 0.5, candidate 0, so c = 0.5*1 and h = 0.5*tanh(0.5)
+        # step 0 loads c ~ 1 (input gate and candidate driven to saturation
+        # by x); at step 1, x = 0 and every other parameter is 0, so the
+        # gates are 0.5 and the candidate 0: c = 0.5 * 1, h = 0.5 * tanh(0.5)
         config = NetConfig(n_features=4, lstm_hidden=4, latent_dim=2)
-        params = zero_params(config)
-        h, c = self._step(
-            params, np.zeros((1, 4)), np.zeros((1, 4)), np.ones((1, 4)), 4
-        )
-        np.testing.assert_allclose(c, np.full((1, 4), 0.5), rtol=0, atol=0)
-        np.testing.assert_allclose(
-            h, np.full((1, 4), 0.5 * math.tanh(0.5)), rtol=1e-15
-        )
+        arrays = zero_params(config).as_dict()
+        wx = np.zeros((16, 4))
+        wx[0:4, 0] = 40.0    # input gate
+        wx[8:12, 0] = 40.0   # candidate
+        arrays["encoder.wx"] = wx
+        x = np.zeros((2, 4))
+        x[0, 0] = 1.0
+        h = self._run(AutoencoderParams.from_dict(arrays), x, steps=2)
+        np.testing.assert_allclose(h[1], np.full(4, 0.5 * math.tanh(0.5)), rtol=1e-12)
 
     def test_forget_bias_preserves_cell_state(self):
-        # a large positive bias on the forget block pins f ~ 1 so c tracks c_prev
+        # a forget bias of 30 pins f ~ 1; x feeds the candidate only at step
+        # 0, so the cell state, and with the output gate at 0.5 also h,
+        # carries over unchanged through the later steps
         config = NetConfig(n_features=4, lstm_hidden=4, latent_dim=2)
-        params = zero_params(config)
-        arrays = params.as_dict()
+        arrays = zero_params(config).as_dict()
         arrays["encoder.bias"] = arrays["encoder.bias"].copy()
         arrays["encoder.bias"][4:8] = 30.0
-        params = AutoencoderParams.from_dict(arrays)
-        c_prev = np.array([[0.3, -0.6, 1.2, 0.0]])
-        _, c = self._step(params, np.zeros((1, 4)), np.zeros((1, 4)), c_prev, 4)
-        np.testing.assert_allclose(c, c_prev, atol=1e-12)
+        wx = np.zeros((16, 4))
+        wx[8:12] = np.diag([0.3, -0.6, 1.2, 0.9])
+        arrays["encoder.wx"] = wx
+        x = np.zeros((4, 4))
+        x[0] = 1.0
+        h = self._run(AutoencoderParams.from_dict(arrays), x, steps=4)
+        assert np.abs(h[0]).min() > 0.05
+        for t in range(1, 4):
+            np.testing.assert_allclose(h[t], h[0], rtol=1e-12)
 
     def test_gradient_through_cell(self):
         config = NetConfig(n_features=2, lstm_hidden=3, latent_dim=1)
@@ -165,12 +170,11 @@ class TestLSTMStep:
 
         def f(tape, x):
             net = lift_params(tape, params, requires_grad=False)
-            h0 = tape.leaf(np.zeros((1, 3)))
-            c0 = tape.leaf(np.zeros((1, 3)))
-            h, c = lstm_step(tape, net, "encoder", x, h0, c0)
-            return tape.sum(tape.mul(h, c))
+            h = tape.lstm(x, net["encoder.wx"], net["encoder.wh"], net["encoder.bias"],
+                          steps=2)
+            return tape.sum(tape.mul(h, h))
 
-        err = grad_check(f, np.array([[0.4, -0.7]]), eps=1e-6)
+        err = grad_check(f, np.array([[0.4, -0.7], [0.1, 0.5]]), eps=1e-6)
         assert err < 1e-5
 
 
@@ -202,11 +206,10 @@ class TestAutoencoderForward:
         tape = Tape()
         net = lift_params(tape, params, requires_grad=False)
         num = series.shape[0] - config.seq_len + 1
-        xs = [
-            tape.leaf(np.ascontiguousarray(series[t : t + num]))
-            for t in range(config.seq_len)
-        ]
-        batched = [v.value for v in forward_steps(tape, net, xs)]
+        x = tape.leaf(np.concatenate([series[t : t + num] for t in range(config.seq_len)]))
+        batched = forward_steps(tape, net, x, config.seq_len).value.reshape(
+            config.seq_len, num, -1
+        )
 
         for w in range(num):
             tape_w = Tape()

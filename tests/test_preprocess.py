@@ -165,7 +165,7 @@ class TestWindows:
         config = NetConfig(n_features=2, seq_len=3, lstm_hidden=3, latent_dim=1)
         tape = Tape()
         net = lift_params(tape, init_params(config, seed=0), requires_grad=False)
-        steps, outputs = windowed_forward(tape, net, tape.leaf(values), 3)
-        assert len(steps) == len(outputs) == 3
-        for t, step in enumerate(steps):
-            np.testing.assert_array_equal(step.value, values[t : t + 4])
+        x, y = windowed_forward(tape, net, tape.leaf(values), 3)
+        assert x.shape == y.shape == (12, 2)
+        for t in range(3):
+            np.testing.assert_array_equal(x.value[4 * t : 4 * (t + 1)], values[t : t + 4])

@@ -144,9 +144,8 @@ class TestTrain:
 
         def pooled(tape, net):
             windows = window_stack(scaled, seq_len)
-            xs = [tape.leaf(np.ascontiguousarray(windows[:, t])) for t in range(seq_len)]
-            outputs = forward_steps(tape, net, xs)
-            return mse(tape, tape.concat_rows(xs), tape.concat_rows(outputs))
+            x = tape.leaf(np.concatenate([windows[:, t] for t in range(seq_len)]))
+            return mse(tape, x, forward_steps(tape, net, x, seq_len))
 
         results = []
         for build in (windowed, pooled):
