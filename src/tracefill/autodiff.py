@@ -20,26 +20,37 @@ Shape rules per op:
 ==================  ==========================================  ============
 op                  inputs                                      output
 ==================  ==========================================  ============
-mul                 two tensors of identical shape              same shape
 matmul              ``[m, k]`` and ``[k, r]``                   ``[m, r]``
-scale               tensor, constant factor                     same shape
 tanh                one tensor                                  same shape
 add_bias            ``[m, n]`` and row vector ``[n]``           ``[m, n]``
 lstm                ``x [S*B, in]``, ``wx [in, 4h]``,           ``[S*B, h]``
                     ``wh [h, 4h]``, ``bias [4h]``; ``steps=S``
-concat_rows         2-D tensors with equal column counts        rows stacked
+windows             ``[T, n]``; ``steps=S``, ``1 <= S <= T``    ``[S*W, n]``
 concat_cols         2-D tensors with equal row counts           cols stacked
-slice_cols          ``[m, n]``, distinct column indices         ``[m, k]``
-slice_rows          ``[m, n]``, contiguous row range            ``[k, n]``
 sum                 one tensor                                  ``[1]``
-mean_sq_diff        two tensors of identical shape              ``[1]``
+weighted_mse        two ``[m, n]`` tensors; ``weights`` (n)     ``[1]``
 ==================  ==========================================  ============
 
 The set holds what the autoencoder and its loss record, plus ``sum`` for
-whole-tensor gradient checks. There is no transpose: the autoencoder's
-weights are lifted in the ``[in, out]`` layout its matmuls use.
-:class:`Var` has no arithmetic operators, so every recorded op is named at
-its call site.
+whole-tensor gradient checks: ``windows`` cuts a series into the network's
+input stack, ``lstm``, ``matmul``, ``add_bias`` and ``tanh`` run the
+network, ``weighted_mse`` scores it, and ``concat_cols`` assembles a
+series from known and optimized columns. There is no transpose: the
+autoencoder's weights are lifted in the ``[in, out]`` layout its matmuls
+use. :class:`Var` has no arithmetic operators, so every recorded op is
+named at its call site.
+
+``windows`` takes every stride-1 window of ``S`` samples (W = T - S + 1 of
+them) in the step-major layout ``lstm`` reads: rows ``t*W .. (t+1)*W`` of
+the output are step ``t`` of all W windows. Its forward and backward are
+``preprocess.window_stack`` and its adjoint ``preprocess.window_sum``, so
+the layout is written down once; the backward adds each sample's window
+cells, which keeps a sample's coverage count an exact integer.
+
+``weighted_mse(target, output, weights)`` is ``sum_j w_j * mean((o_j -
+t_j)**2)`` over the columns j. It reads only the columns of positive
+weight, in the forward and in the backward, so a column of weight 0
+cannot change the loss or any gradient by a single bit, whatever it holds.
 
 ``lstm`` runs a whole LSTM layer over a step-major stack: rows
 ``t*B .. (t+1)*B`` of ``x`` are step ``t`` of B sequences, state starts at
@@ -51,15 +62,20 @@ every finite ``x`` and agrees with ``1 / (1 + exp(-x))`` to within
 the cell states and gate activations kept from the forward.
 
 Backward itself is not recorded, so higher-order derivatives are out of
-scope. Node values should be treated as read-only by callers.
+scope. Node values should be treated as read-only by callers. A tape is
+freed as soon as neither it nor any of its Vars is referenced: it holds
+its gradient leaves weakly, so it is never part of a reference cycle.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .preprocess import window_stack, window_sum
 
 Array = np.ndarray
 
@@ -85,7 +101,7 @@ def as_tensor(value) -> Array:
 class Var:
     """Handle to one tape node. Compared by identity; create via Tape methods."""
 
-    __slots__ = ("tape", "id", "shape")
+    __slots__ = ("tape", "id", "shape", "__weakref__")
 
     def __init__(self, tape: "Tape", node_id: int, shape: tuple[int, ...]):
         self.tape = tape
@@ -130,22 +146,6 @@ class _OpRule:
     backward: Callable[..., tuple]
 
 
-def _same_shape(a: Array, b: Array, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
-def _fw_mul(values, kwargs):
-    a, b = values
-    _same_shape(a, b, "mul")
-    return a * b, None
-
-
-def _bw_mul(g, out, saved, values, needs, kwargs):
-    a, b = values
-    return (g * b if needs[0] else None, g * a if needs[1] else None)
-
-
 def _fw_matmul(values, kwargs):
     a, b = values
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -158,18 +158,6 @@ def _bw_matmul(g, out, saved, values, needs, kwargs):
     ga = g @ b.T if needs[0] else None
     gb = a.T @ g if needs[1] else None
     return (ga, gb)
-
-
-def _fw_scale(values, kwargs):
-    (a,) = values
-    factor = kwargs["factor"]
-    if not np.isfinite(factor):
-        raise NonFiniteError(f"scale: non-finite factor {factor!r}")
-    return a * factor, None
-
-
-def _bw_scale(g, out, saved, values, needs, kwargs):
-    return (g * kwargs["factor"],)
 
 
 def _fw_tanh(values, kwargs):
@@ -293,24 +281,6 @@ def _check_2d(parts: Sequence[Array], op: str) -> None:
             raise ShapeError(f"{op}: all inputs must be 2-D, got shape {p.shape}")
 
 
-def _fw_concat_rows(values, kwargs):
-    _check_2d(values, "concat_rows")
-    cols = {v.shape[1] for v in values}
-    if len(cols) != 1:
-        raise ShapeError(f"concat_rows: column counts differ: {[v.shape for v in values]}")
-    return np.concatenate(values, axis=0), None
-
-
-def _bw_concat_rows(g, out, saved, values, needs, kwargs):
-    grads = []
-    offset = 0
-    for v, need in zip(values, needs):
-        n = v.shape[0]
-        grads.append(g[offset:offset + n] if need else None)
-        offset += n
-    return tuple(grads)
-
-
 def _fw_concat_cols(values, kwargs):
     _check_2d(values, "concat_cols")
     rows = {v.shape[0] for v in values}
@@ -329,43 +299,6 @@ def _bw_concat_cols(g, out, saved, values, needs, kwargs):
     return tuple(grads)
 
 
-def _fw_slice_cols(values, kwargs):
-    (a,) = values
-    cols = kwargs["cols"]
-    if a.ndim != 2:
-        raise ShapeError(f"slice_cols: need a 2-D tensor, got shape {a.shape}")
-    if len(set(cols)) != len(cols):
-        raise ShapeError(f"slice_cols: column indices must be distinct, got {cols}")
-    for c in cols:
-        if not 0 <= c < a.shape[1]:
-            raise ShapeError(f"slice_cols: column {c} out of range for shape {a.shape}")
-    return a[:, list(cols)].copy(), None
-
-
-def _bw_slice_cols(g, out, saved, values, needs, kwargs):
-    a = values[0]
-    grad = np.zeros_like(a)
-    grad[:, list(kwargs["cols"])] = g
-    return (grad,)
-
-
-def _fw_slice_rows(values, kwargs):
-    (a,) = values
-    start, stop = kwargs["start"], kwargs["stop"]
-    if a.ndim != 2:
-        raise ShapeError(f"slice_rows: need a 2-D tensor, got shape {a.shape}")
-    if not (0 <= start < stop <= a.shape[0]):
-        raise ShapeError(f"slice_rows: range [{start}, {stop}) invalid for shape {a.shape}")
-    return a[start:stop].copy(), None
-
-
-def _bw_slice_rows(g, out, saved, values, needs, kwargs):
-    a = values[0]
-    grad = np.zeros_like(a)
-    grad[kwargs["start"]:kwargs["stop"]] = g
-    return (grad,)
-
-
 def _fw_sum(values, kwargs):
     return np.array([values[0].sum()]), None
 
@@ -374,35 +307,47 @@ def _bw_sum(g, out, saved, values, needs, kwargs):
     return (np.full_like(values[0], float(g.reshape(()))),)
 
 
-def _fw_mean_sq_diff(values, kwargs):
-    a, b = values
-    _same_shape(a, b, "mean_sq_diff")
-    d = a - b
-    return np.array([(d * d).mean()]), None
+def _fw_windows(values, kwargs):
+    (series,) = values
+    steps = kwargs["steps"]
+    if series.ndim != 2 or not 1 <= steps <= series.shape[0]:
+        raise ShapeError(f"windows: {steps} steps invalid for shape {series.shape}")
+    return window_stack(series, steps), None
 
 
-def _bw_mean_sq_diff(g, out, saved, values, needs, kwargs):
-    a, b = values
-    gs = float(g.reshape(()))
-    base = (2.0 / a.size) * gs * (a - b)
-    ga = base if needs[0] else None
-    gb = -base if needs[1] else None
-    return (ga, gb)
+def _bw_windows(g, out, saved, values, needs, kwargs):
+    return (window_sum(g, kwargs["steps"]),)
+
+
+def _fw_weighted_mse(values, kwargs):
+    target, output = values
+    weights = np.asarray(kwargs["weights"])
+    if target.ndim != 2 or target.shape != output.shape or weights.shape != (target.shape[1],):
+        raise ShapeError(f"weighted_mse: shapes {target.shape} and {output.shape} "
+                         f"with {weights.size} weights do not conform")
+    # a weight-0 column is never read, so not even 0 * inf = nan can leak
+    keep = np.flatnonzero(weights)
+    d = output[:, keep] - target[:, keep]
+    w = weights[keep]
+    return np.array([(d * d).mean(axis=0) @ w]), (keep, w, d)
+
+
+def _bw_weighted_mse(g, out, saved, values, needs, kwargs):
+    keep, w, d = saved
+    grad = np.zeros_like(values[0])
+    grad[:, keep] = d * (2.0 / d.shape[0] * float(g.reshape(())) * w)
+    return (-grad if needs[0] else None, grad if needs[1] else None)
 
 
 _OPS: dict[str, _OpRule] = {
-    "mul": _OpRule(_fw_mul, _bw_mul),
     "matmul": _OpRule(_fw_matmul, _bw_matmul),
-    "scale": _OpRule(_fw_scale, _bw_scale),
     "tanh": _OpRule(_fw_tanh, _bw_tanh),
     "add_bias": _OpRule(_fw_add_bias, _bw_add_bias),
     "lstm": _OpRule(_fw_lstm, _bw_lstm),
-    "concat_rows": _OpRule(_fw_concat_rows, _bw_concat_rows),
+    "windows": _OpRule(_fw_windows, _bw_windows),
     "concat_cols": _OpRule(_fw_concat_cols, _bw_concat_cols),
-    "slice_cols": _OpRule(_fw_slice_cols, _bw_slice_cols),
-    "slice_rows": _OpRule(_fw_slice_rows, _bw_slice_rows),
     "sum": _OpRule(_fw_sum, _bw_sum),
-    "mean_sq_diff": _OpRule(_fw_mean_sq_diff, _bw_mean_sq_diff),
+    "weighted_mse": _OpRule(_fw_weighted_mse, _bw_weighted_mse),
 }
 
 
@@ -415,7 +360,10 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[_Node] = []
-        self._grad_leaves: dict[int, Var] = {}
+        # held weakly: a Var holds its tape, so a strong registry would make
+        # each tape a reference cycle that lives until a cyclic collection
+        self._grad_leaves: weakref.WeakValueDictionary[int, Var] = (
+            weakref.WeakValueDictionary())
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -449,14 +397,8 @@ class Tape:
 
     # Conveniences, one per op.
 
-    def mul(self, a: Var, b: Var) -> Var:
-        return self.apply("mul", a, b)
-
     def matmul(self, a: Var, b: Var) -> Var:
         return self.apply("matmul", a, b)
-
-    def scale(self, a: Var, factor: float) -> Var:
-        return self.apply("scale", a, factor=float(factor))
 
     def tanh(self, a: Var) -> Var:
         return self.apply("tanh", a)
@@ -467,26 +409,21 @@ class Tape:
     def lstm(self, x: Var, wx: Var, wh: Var, bias: Var, steps: int) -> Var:
         return self.apply("lstm", x, wx, wh, bias, steps=int(steps))
 
-    def concat_rows(self, parts: Sequence[Var]) -> Var:
-        return self.apply("concat_rows", *parts)
+    def windows(self, series: Var, steps: int) -> Var:
+        return self.apply("windows", series, steps=int(steps))
 
     def concat_cols(self, parts: Sequence[Var]) -> Var:
         return self.apply("concat_cols", *parts)
 
-    def slice_cols(self, a: Var, cols: Sequence[int]) -> Var:
-        return self.apply("slice_cols", a, cols=tuple(int(c) for c in cols))
-
-    def slice_rows(self, a: Var, start: int, stop: int) -> Var:
-        return self.apply("slice_rows", a, start=int(start), stop=int(stop))
-
     def sum(self, a: Var) -> Var:
         return self.apply("sum", a)
 
-    def mean_sq_diff(self, a: Var, b: Var) -> Var:
-        return self.apply("mean_sq_diff", a, b)
+    def weighted_mse(self, target: Var, output: Var, weights: Sequence[float]) -> Var:
+        return self.apply("weighted_mse", target, output,
+                          weights=tuple(float(w) for w in weights))
 
     def backward(self, loss: Var) -> dict[Var, Array]:
-        """Gradients of a scalar loss for every requires_grad leaf.
+        """Gradients of a scalar loss for every requires_grad leaf still referenced.
 
         Leaves that do not influence the loss get zero gradients. Non-leaf
         gradients are discarded. Repeated calls recompute from scratch and
@@ -562,8 +499,8 @@ def grad_check(f: Callable[[Tape, Var], Var], x, eps: float = 1e-6) -> float:
     return float((np.abs(analytic - numeric) / denom).max())
 
 
-def _op_check_cases(rng) -> list[tuple[str, Callable[[], tuple]]]:
-    """Random conforming inputs per op for the finite-difference sweep.
+def _op_check_cases(rng) -> list[tuple[str, Callable[[], tuple], dict]]:
+    """Random conforming inputs and the kwargs per op for the finite-difference sweep.
 
     Draws keep gradient components away from zero so the relative-error
     criterion is meaningful; targets sit outside the reachable output range.
@@ -578,32 +515,24 @@ def _op_check_cases(rng) -> list[tuple[str, Callable[[], tuple]]]:
         return rng.uniform(lo, hi, shape)
 
     return [
-        ("mul", lambda: (signed((3, 4)), signed((3, 4)))),
-        ("matmul", lambda: (signed((3, 4)), signed((4, 2)))),
-        ("scale", lambda: (plain((3, 4)),)),
-        ("tanh", lambda: (plain((3, 4)),)),
-        ("add_bias", lambda: (plain((3, 4)), plain((4,)))),
+        ("matmul", lambda: (signed((3, 4)), signed((4, 2))), {}),
+        ("tanh", lambda: (plain((3, 4)),), {}),
+        ("add_bias", lambda: (plain((3, 4)), plain((4,))), {}),
         # all-positive draws: every backward term of one component then has
         # one sign, so none cancels; with random signs cancellation alone
         # pushes the finite-difference error on wh to 1e-3 while the
         # gradient is exact to rounding
         ("lstm", lambda: (plain((6, 3), 0.1, 0.6), plain((3, 8), 0.1, 0.6),
-                          plain((2, 8), 0.1, 0.6), plain((8,), 0.1, 0.6))),
-        ("concat_rows", lambda: (plain((2, 3)), plain((3, 3)))),
-        ("concat_cols", lambda: (plain((3, 2)), plain((3, 3)))),
-        ("slice_cols", lambda: (plain((3, 5)),)),
-        ("slice_rows", lambda: (plain((5, 3)),)),
-        ("sum", lambda: (plain((3, 4)),)),
-        ("mean_sq_diff", lambda: (plain((3, 4), 0.5, 1.5), plain((3, 4), -1.5, -0.5))),
+                          plain((2, 8), 0.1, 0.6), plain((8,), 0.1, 0.6)),
+         {"steps": 3}),
+        ("windows", lambda: (plain((5, 2)),), {"steps": 3}),
+        ("concat_cols", lambda: (plain((3, 2)), plain((3, 3))), {}),
+        ("sum", lambda: (plain((3, 4)),), {}),
+        # the weight-0 column must get an exactly zero gradient, which the
+        # relative error accepts only if the finite difference is zero too
+        ("weighted_mse", lambda: (plain((3, 4), 0.5, 1.5), plain((3, 4), -1.5, -0.5)),
+         {"weights": (0.7, 0.0, 1.8, 0.25)}),
     ]
-
-
-_OP_CHECK_KWARGS = {
-    "scale": {"factor": 1.7},
-    "lstm": {"steps": 3},
-    "slice_cols": {"cols": (0, 2, 3)},
-    "slice_rows": {"start": 1, "stop": 4},
-}
 
 
 def run_op_checks(seed: int = 0, samples_per_op: int = 100) -> dict[str, float]:
@@ -618,13 +547,12 @@ def run_op_checks(seed: int = 0, samples_per_op: int = 100) -> dict[str, float]:
 
     rng = Xoshiro256(seed)
     cases = _op_check_cases(rng)
-    if {name for name, _ in cases} != set(_OPS):
-        missing = set(_OPS) - {name for name, _ in cases}
+    missing = set(_OPS) - {name for name, _, _ in cases}
+    if missing:
         raise AssertionError(f"ops missing a finite-difference case: {sorted(missing)}")
 
     worst: dict[str, float] = {}
-    for op, make in cases:
-        kwargs = _OP_CHECK_KWARGS.get(op, {})
+    for op, make, kwargs in cases:
         err = 0.0
         for _ in range(samples_per_op):
             inputs = make()
@@ -639,7 +567,7 @@ def run_op_checks(seed: int = 0, samples_per_op: int = 100) -> dict[str, float]:
                     if out.value.size == 1:
                         return out
                     target = tape.leaf(np.full(out.shape, 4.0))
-                    return tape.mean_sq_diff(out, target)
+                    return tape.weighted_mse(target, out, np.ones(out.shape[1]))
 
                 err = max(err, grad_check(f, inputs[pos], eps=1e-6))
         worst[op] = err

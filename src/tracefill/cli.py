@@ -218,7 +218,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     truth = fileio.read_dataset_csv(args.truth)
     if result.n_samples != truth.n_samples:
         raise CliError(
-            f"length mismatch: result {result.n_samples} vs truth {truth.n_samples}"
+            f"length mismatch: {args.result} has {result.n_samples} samples, "
+            f"{args.truth} has {truth.n_samples}"
         )
     # the reader's tolerance on dt; t0 gets the same absolute bound
     tol = fileio.REL_TIME_TOL * abs(truth.dt)

@@ -8,12 +8,15 @@ state starts at zero.
 
 Forward passes are expressed once, batched across windows, on step-major
 stacks: rows ``t*B .. (t+1)*B`` of a ``[seq_len*B, n]`` tensor hold step
-``t`` of all B windows. Each LSTM layer is one fused ``lstm`` tape op
-over the whole stack, and the latent head and readout are one matmul
-each over all ``seq_len*B`` rows, so a forward pass records seven ops
-whatever the window count. A single window is the ``B == 1`` special
-case. ``windowed_loss`` is the one objective that training (over the
-weights) and reconstruction (over a missing column) both minimize.
+``t`` of all B windows (``preprocess.window_stack`` owns that layout, and
+one ``windows`` tape op applies it to a series). Each LSTM layer is one
+fused ``lstm`` tape op over the whole stack, and the latent head and
+readout are one matmul each over all ``seq_len*B`` rows, so a forward
+pass records seven ops whatever the window count. A single window is the
+``B == 1`` special case. ``windowed_loss`` is the one objective that
+training (over the weights) and reconstruction (over a missing column)
+both minimize: one ``windows`` op, the seven of the network, and one
+``weighted_mse``.
 
 The parameters are one table of ten named arrays, spelled out only in
 ``param_shapes``: training writes it, the model file stores it and
@@ -99,11 +102,6 @@ def param_shapes(config: NetConfig) -> dict[str, tuple[int, ...]]:
     }
 
 
-def param_count(config: NetConfig) -> int:
-    """Total parameter count implied by the dimensions alone."""
-    return sum(int(np.prod(shape)) for shape in param_shapes(config).values())
-
-
 def init_params(config: NetConfig, seed: int) -> AutoencoderParams:
     """Seeded init: weights uniform in ±1/sqrt(fan_in), biases zero.
 
@@ -161,14 +159,12 @@ def windowed_forward(tape: Tape, net: dict[str, Var], series: Var,
                      seq_len: int) -> tuple[Var, Var]:
     """Forward every stride-1 window of a [T, n] series as one batch.
 
-    Step ``t`` of every window is the row block [t, t + T - seq_len + 1) of
-    the series, taken with one differentiable slice, so a sample that sits
-    in k windows receives k gradient contributions. Returns the step-major
-    input and output stacks, each ``[seq_len * num_windows, n]``.
+    One ``windows`` op cuts the series into the step-major input stack; its
+    backward adds each window's gradient back onto the samples, so a sample
+    that sits in k windows receives k contributions. Returns the input and
+    output stacks, each ``[seq_len * num_windows, n]``.
     """
-    num_windows = series.shape[0] - seq_len + 1
-    x = tape.concat_rows([tape.slice_rows(series, t, t + num_windows)
-                          for t in range(seq_len)])
+    x = tape.windows(series, seq_len)
     return x, forward_steps(tape, net, x, seq_len)
 
 
@@ -182,8 +178,3 @@ def windowed_loss(tape: Tape, net: dict[str, Var], series: Var,
     """
     x, y = windowed_forward(tape, net, series, seq_len)
     return reduced_loss(tape, x, y, weights), y
-
-
-def window_outputs(y: Var, seq_len: int) -> np.ndarray:
-    """An output stack of ``windowed_forward`` as ``[num_windows, seq_len, n]``."""
-    return y.value.reshape(seq_len, -1, y.shape[1]).swapaxes(0, 1)

@@ -1,9 +1,9 @@
 """Losses on the tape and the Adam optimizer.
 
 ``reduced_loss`` is the one place that decides which feature columns count:
-it takes one weight per column and returns the weighted sum of per-column
-mean-square errors. A column with weight 0 is sliced away before any
-arithmetic, so its values can never influence the loss, not even in the
+it checks one weight per column and records one ``weighted_mse`` op, the
+weighted sum of per-column mean-square errors. That op never reads a column
+with weight 0, so its values can never influence the loss, not even in the
 last bit. Training weights every column 1/n, which is the pooled MSE;
 reconstruction gives the missing columns weight 0.
 """
@@ -17,9 +17,10 @@ import numpy as np
 from .autodiff import Tape, Var
 
 
+# kept as a public name because the benchmark's tracer binds optim.mse
 def mse(tape: Tape, a: Var, b: Var) -> Var:
-    """Mean over all elements of the squared difference."""
-    return tape.mean_sq_diff(a, b)
+    """Mean over all elements of the squared difference: weights 1/n."""
+    return reduced_loss(tape, a, b, np.full(a.shape[-1], 1.0 / a.shape[-1]))
 
 
 def reduced_loss(tape: Tape, target: Var, output: Var,
@@ -27,10 +28,7 @@ def reduced_loss(tape: Tape, target: Var, output: Var,
     """Weighted sum of per-column mean-square errors of two [M, n] tensors.
 
     ``weights`` holds one finite, non-negative entry per column (default 1
-    each), at least one of them positive. The sum is a single ``mse`` over
-    the k kept columns, column j scaled by sqrt(w_j / w_min), times
-    k * w_min. With equal weights no column is scaled, so uniform weights
-    1/n give the pooled MSE bit for bit.
+    each), at least one of them positive. Records one ``weighted_mse`` op.
     """
     if len(target.shape) != 2 or target.shape != output.shape:
         raise ValueError(
@@ -43,23 +41,9 @@ def reduced_loss(tape: Tape, target: Var, output: Var,
         raise ValueError(f"{w.size} weights for {n} columns")
     if not (np.isfinite(w).all() and (w >= 0).all()):
         raise ValueError(f"weights must be finite and non-negative, got {w.tolist()}")
-    keep = np.flatnonzero(w > 0)
-    if keep.size == 0:
+    if not w.any():
         raise ValueError("reduced_loss needs at least one positive weight")
-
-    if keep.size < n:
-        target = tape.slice_cols(target, keep)
-        output = tape.slice_cols(output, keep)
-    w = w[keep]
-    w_min = w.min()
-    col_scale = np.sqrt(w / w_min)
-    if (col_scale != 1.0).any():
-        factors = tape.leaf(np.broadcast_to(col_scale, target.shape))
-        target = tape.mul(target, factors)
-        output = tape.mul(output, factors)
-    loss = mse(tape, target, output)
-    factor = keep.size * w_min
-    return loss if factor == 1.0 else tape.scale(loss, factor)
+    return tape.weighted_mse(target, output, w)
 
 
 class Adam:

@@ -2,9 +2,14 @@
 
 Scaling is fitted once over all training sets (global per-feature extrema)
 and reused verbatim for any later data; application data never refits.
-Windows are stride-1 and dense; ``overlap_mean_values`` merges per-window
-outputs back to series length by averaging every window cell that covers a
-sample, which is the exact inverse of ``window_stack`` when windows agree.
+Windows are stride-1 and dense, and this module owns their one layout:
+``window_stack`` builds the step-major stack the network runs on (rows
+``t*W .. (t+1)*W`` are step ``t`` of all W windows), and ``window_sum``,
+its adjoint, adds a stack back onto the samples. The tape's ``windows`` op
+is these two functions. ``coverage_counts`` is the adjoint applied to
+ones, and ``overlap_mean_values`` merges an output stack back to series
+length by dividing the adjoint by the coverage, which is the exact inverse
+of ``window_stack`` when windows agree.
 """
 
 from __future__ import annotations
@@ -134,32 +139,41 @@ def inverse_transform(scaler: ScalerParams, data: TimeSeriesSet) -> TimeSeriesSe
 
 
 def window_stack(values: np.ndarray, seq_len: int) -> np.ndarray:
-    """Stride-1 windows of a [T, n] array as a [T-s+1, s, n] stack."""
+    """Stride-1 windows of a [T, n] array as a step-major [seq_len*W, n] stack.
+
+    W = T - seq_len + 1. Rows ``t*W .. (t+1)*W`` hold step ``t`` of every
+    window, which is rows ``t .. t+W`` of ``values``.
+    """
     T = values.shape[0]
     if not 1 <= seq_len <= T:
         raise ValueError(f"seq_len {seq_len} invalid for {T} samples")
-    return np.stack([values[i:i + seq_len] for i in range(T - seq_len + 1)])
+    num_windows = T - seq_len + 1
+    return np.concatenate([values[t:t + num_windows] for t in range(seq_len)])
+
+
+def window_sum(stack: np.ndarray, seq_len: int) -> np.ndarray:
+    """Adjoint of ``window_stack``: add every window cell back onto its sample.
+
+    Takes a [seq_len*W, n] stack to [W + seq_len - 1, n]. Each sample gets
+    one addition per window covering it, so summing integers stays exact.
+    """
+    rows = stack.shape[0]
+    if seq_len < 1 or rows < seq_len or rows % seq_len:
+        raise ValueError(f"{rows} stack rows do not split into {seq_len} steps")
+    num_windows = rows // seq_len
+    total = np.zeros((num_windows + seq_len - 1, stack.shape[1]))
+    for t in range(seq_len):
+        total[t:t + num_windows] += stack[t * num_windows:(t + 1) * num_windows]
+    return total
 
 
 def coverage_counts(source_length: int, seq_len: int) -> np.ndarray:
     """How many stride-1 windows cover each sample index."""
     num_windows = source_length - seq_len + 1
-    counts = np.zeros(source_length, dtype=np.int64)
-    for t in range(seq_len):
-        counts[t:t + num_windows] += 1
-    return counts
+    return window_sum(np.ones((seq_len * num_windows, 1)), seq_len)[:, 0]
 
 
-def overlap_mean_values(windows: np.ndarray, source_length: int) -> np.ndarray:
-    """Average every window cell covering each sample; inverse of stacking."""
-    num_windows, seq_len = windows.shape[0], windows.shape[1]
-    if num_windows != source_length - seq_len + 1:
-        raise ValueError(
-            f"{num_windows} windows inconsistent with length {source_length} "
-            f"and seq_len {seq_len}"
-        )
-    total = np.zeros((source_length, windows.shape[2]))
-    for t in range(seq_len):
-        total[t:t + num_windows] += windows[:, t, :]
-    counts = coverage_counts(source_length, seq_len)
-    return total / counts[:, None]
+def overlap_mean_values(stack: np.ndarray, seq_len: int) -> np.ndarray:
+    """Average every window cell covering each sample; inverse of ``window_stack``."""
+    total = window_sum(stack, seq_len)
+    return total / coverage_counts(total.shape[0], seq_len)[:, None]

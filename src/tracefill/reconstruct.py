@@ -10,14 +10,17 @@ no matter how many windows overlap it). Every epoch rebuilds a tape that
      too: every stride-1 window through the autoencoder, with the user's
      weights on the available features and weight 0 on the missing ones.
 
-Adam then updates the missing columns alone. Because window extraction is
-a differentiable slice, a sample covered by several windows automatically
-accumulates all their gradient contributions.
+Adam then updates the missing columns alone. Window extraction is the
+tape's ``windows`` op, whose backward adds every window's gradient back
+onto the samples, so a sample covered by several windows accumulates all
+their contributions. The loss is one ``weighted_mse`` op, which never
+reads a missing column.
 
 One final pass on the optimized series gives both the final loss and the
-network's own output for the missing columns (merged across windows by
-overlap mean), which is usually smoother than the raw optimized estimate
-and is reported alongside it.
+network's output stack, which ``preprocess.overlap_mean_values`` merges
+across windows into the network's own estimate of the missing columns.
+That is usually smoother than the raw optimized estimate and is reported
+alongside it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from . import preprocess
 from .autodiff import Tape
-from .nn import lift_params, window_outputs, windowed_loss
+from .nn import lift_params, windowed_loss
 from .optim import Adam
 from .training import DivergenceError, TrainedModel
 
@@ -174,7 +177,7 @@ def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
     final, _, y = build(Tape(), estimates)
     final_loss = final.item()
     initial_loss = history[0] if history else final_loss
-    recon_scaled = preprocess.overlap_mean_values(window_outputs(y, model.net.seq_len), T)
+    recon_scaled = preprocess.overlap_mean_values(y.value, model.net.seq_len)
 
     def to_data(m: str, scaled: np.ndarray) -> np.ndarray:
         return model.scaler.inverse_transform_columns(scaled[:, None], [m]).ravel()

@@ -21,7 +21,6 @@ from .nn import (
     NetConfig,
     init_params,
     lift_params,
-    window_outputs,
     windowed_forward,
     windowed_loss,
 )
@@ -71,7 +70,7 @@ def _epoch_order(epoch: int, n_datasets: int) -> list[int]:
 
 def _dataset_loss_and_grads(params: AutoencoderParams, scaled: np.ndarray,
                             seq_len: int):
-    """Pooled window MSE over one dataset plus parameter gradients."""
+    """Pooled window MSE over one dataset (a loss Var) plus parameter gradients."""
     n = scaled.shape[1]
     tape = Tape()
     net = lift_params(tape, params, requires_grad=True)
@@ -79,7 +78,7 @@ def _dataset_loss_and_grads(params: AutoencoderParams, scaled: np.ndarray,
     grads = tape.backward(loss)
     # matrices were lifted transposed; .T returns them in storage layout
     named = {name: grads[leaf].T for name, leaf in net.items()}
-    return loss.item(), named
+    return loss, named
 
 
 def train(datasets: Sequence[preprocess.TimeSeriesSet],
@@ -115,16 +114,22 @@ def train(datasets: Sequence[preprocess.TimeSeriesSet],
 
     for epoch in range(config.epochs):
         for idx in _epoch_order(epoch, len(datasets)):
+            # ``loss`` holds this update's tape until the next update has
+            # recorded its own. A tape freed before the next one is recorded
+            # left its pages at the top of the heap, glibc handed them back
+            # to the kernel, and every update faulted about 12 MB back in
+            # (T=2000, hidden 16)
             loss, grads = _dataset_loss_and_grads(params, scaled[idx],
                                                   config.net.seq_len)
-            if not np.isfinite(loss):
+            value = loss.item()
+            if not np.isfinite(value):
                 raise DivergenceError(
                     f"non-finite loss on dataset {idx} in epoch {epoch}"
                 )
             updated = adam.step(params.as_dict(), grads)
             params = AutoencoderParams.from_dict(updated)
-            history.append(HistoryRow(epoch, idx, loss))
-            last_loss[idx] = loss
+            history.append(HistoryRow(epoch, idx, value))
+            last_loss[idx] = value
 
     model = TrainedModel(
         params=params,
@@ -153,8 +158,7 @@ def reconstruct_series(model: TrainedModel,
     net = lift_params(tape, model.params, requires_grad=False)
     seq_len = model.net.seq_len
     _, y = windowed_forward(tape, net, tape.leaf(scaled_values), seq_len)
-    return preprocess.overlap_mean_values(window_outputs(y, seq_len),
-                                          scaled_values.shape[0])
+    return preprocess.overlap_mean_values(y.value, seq_len)
 
 
 def evaluate_model(model: TrainedModel,

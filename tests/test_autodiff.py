@@ -5,7 +5,9 @@ expected arrays, and central finite differences (the independent oracle)
 via run_op_checks and grad_check.
 """
 
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -24,17 +26,13 @@ from tracefill.autodiff import (
 
 EXPECTED_OPS = {
     "lstm",
-    "mul",
     "matmul",
-    "scale",
-    "tanh",
     "add_bias",
-    "concat_rows",
+    "tanh",
+    "windows",
+    "weighted_mse",
     "concat_cols",
-    "slice_cols",
-    "slice_rows",
     "sum",
-    "mean_sq_diff",
 }
 
 finite_floats = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -72,42 +70,27 @@ class TestHandDerivedGradients:
         # dloss/dw = x.T @ ones
         np.testing.assert_array_equal(gw, [[4.0, 4.0], [6.0, 6.0]])
 
-    def test_mul_gradients_swap_operands(self):
-        def build(tape):
-            a = tape.leaf([[1.5, -2.0]], requires_grad=True)
-            b = tape.leaf([[0.25, 4.0]], requires_grad=True)
-            return tape.sum(tape.mul(a, b)), a, b
-
-        ga, gb = grads_of(build)
-        np.testing.assert_array_equal(ga, [[0.25, 4.0]])
-        np.testing.assert_array_equal(gb, [[1.5, -2.0]])
-
-    def test_scale_multiplies_upstream_gradient(self):
-        def build(tape):
-            x = tape.leaf([2.0, 3.0], requires_grad=True)
-            return tape.sum(tape.scale(x, 1.75)), x
-
-        (gx,) = grads_of(build)
-        np.testing.assert_array_equal(gx, [1.75, 1.75])
-
     def test_tanh_at_zero_has_unit_slope(self):
         tape = Tape()
         x = tape.leaf([0.0], requires_grad=True)
         grads = tape.backward(tape.sum(tape.tanh(x)))
         np.testing.assert_array_equal(grads[x], [1.0])
 
-    def test_mean_sq_diff_value_and_gradient(self):
+    def test_weighted_mse_value_and_gradient(self):
+        # columns: mean sq 2.5 and 4; loss 0.5 * 2.5 + 0.25 * 4 = 2.25;
+        # d/d_out = 2 w (out - target) / rows
         def build(tape):
-            a = tape.leaf([[1.0, 3.0]], requires_grad=True)
-            b = tape.leaf([[0.0, 1.0]], requires_grad=True)
-            return tape.mean_sq_diff(a, b), a, b
+            t = tape.leaf([[0.0, 1.0], [1.0, 0.0]], requires_grad=True)
+            o = tape.leaf([[1.0, 3.0], [3.0, 2.0]], requires_grad=True)
+            return tape.weighted_mse(t, o, (0.5, 0.25)), t, o
 
         tape = Tape()
-        loss, a, b = build(tape)
-        assert loss.item() == 2.5
-        ga, gb = grads_of(build)
-        np.testing.assert_array_equal(ga, [[1.0, 2.0]])
-        np.testing.assert_array_equal(gb, [[-1.0, -2.0]])
+        loss, _, _ = build(tape)
+        assert loss.item() == 2.25
+        gt, go = grads_of(build)
+        np.testing.assert_array_equal(go, [[0.5, 0.5], [1.0, 0.5]])
+        np.testing.assert_array_equal(gt, -go)
+
 
     def test_add_bias_gradient_sums_over_rows(self):
         def build(tape):
@@ -119,33 +102,16 @@ class TestHandDerivedGradients:
         np.testing.assert_array_equal(gx, np.ones((2, 2)))
         np.testing.assert_array_equal(gbias, [2.0, 2.0])
 
-    def test_slice_rows_gradient_is_zero_outside_range(self):
+    def test_windows_gradient_adds_every_window_cell(self):
+        # each sample collects its coverage count: 1, 2, 3, 2, 1 for T=5
+        # and 3 steps
         def build(tape):
             x = tape.leaf(np.arange(10.0).reshape(5, 2), requires_grad=True)
-            return tape.sum(tape.slice_rows(x, 1, 4)), x
+            return tape.sum(tape.windows(x, 3)), x
 
         (gx,) = grads_of(build)
-        expected = np.zeros((5, 2))
-        expected[1:4] = 1.0
-        np.testing.assert_array_equal(gx, expected)
-
-    def test_slice_cols_gradient_scatters_to_chosen_columns(self):
-        def build(tape):
-            x = tape.leaf(np.ones((2, 4)), requires_grad=True)
-            return tape.sum(tape.slice_cols(x, (0, 3))), x
-
-        (gx,) = grads_of(build)
-        np.testing.assert_array_equal(gx, [[1.0, 0.0, 0.0, 1.0]] * 2)
-
-    def test_concat_rows_gradient_splits_back(self):
-        def build(tape):
-            a = tape.leaf([[1.0, 1.0]], requires_grad=True)
-            b = tape.leaf([[2.0, 2.0], [3.0, 3.0]], requires_grad=True)
-            return tape.sum(tape.scale(tape.concat_rows([a, b]), 3.0)), a, b
-
-        ga, gb = grads_of(build)
-        np.testing.assert_array_equal(ga, [[3.0, 3.0]])
-        np.testing.assert_array_equal(gb, [[3.0, 3.0], [3.0, 3.0]])
+        np.testing.assert_array_equal(gx, [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0],
+                                           [2.0, 2.0], [1.0, 1.0]])
 
     def test_concat_cols_gradient_splits_back(self):
         def build(tape):
@@ -158,13 +124,16 @@ class TestHandDerivedGradients:
         np.testing.assert_array_equal(gb, np.ones((2, 2)))
 
     def test_reused_variable_accumulates_both_paths(self):
-        # loss = sum(x*x) + sum(x); gradient 2x + 1 is exact for x = 0.5
+        # loss = sum(x @ x) + sum(x); gradient (ones @ x.T + x.T @ ones) + 1
+        # is exact for these small integers
         def build(tape):
-            x = tape.leaf([[0.5, -1.5]], requires_grad=True)
-            return tape.sum(tape.concat_rows([tape.mul(x, x), x])), x
+            x = tape.leaf([[1.0, 2.0], [-3.0, 0.5]], requires_grad=True)
+            return tape.sum(tape.concat_cols([tape.matmul(x, x), x])), x
 
         (gx,) = grads_of(build)
-        np.testing.assert_array_equal(gx, [[2.0, -2.0]])
+        x = np.array([[1.0, 2.0], [-3.0, 0.5]])
+        ones = np.ones((2, 2))
+        np.testing.assert_array_equal(gx, ones @ x.T + x.T @ ones + 1.0)
 
 
 class TestTapeMechanics:
@@ -190,20 +159,32 @@ class TestTapeMechanics:
 
     def test_frozen_leaves_are_absent_from_gradients(self):
         tape = Tape()
-        x = tape.leaf([1.0], requires_grad=True)
-        w = tape.leaf([2.0], requires_grad=False)
-        grads = tape.backward(tape.sum(tape.mul(x, w)))
+        x = tape.leaf([[1.0]], requires_grad=True)
+        w = tape.leaf([[2.0]], requires_grad=False)
+        grads = tape.backward(tape.sum(tape.matmul(x, w)))
         assert x in grads
         assert w not in grads
 
     def test_gradient_arrays_are_independent_copies(self):
         tape = Tape()
-        x = tape.leaf([1.0, 1.0], requires_grad=True)
-        y = tape.mul(x, x)
+        x = tape.leaf([[1.0, 1.0]], requires_grad=True)
+        y = tape.weighted_mse(tape.leaf([[0.0, 0.0]]), x, (1.0, 1.0))
         grads_a = tape.backward(tape.sum(y))
         grads_b = tape.backward(tape.sum(y))
-        grads_a[x][0] = 17.0
-        assert grads_b[x][0] == 2.0
+        grads_a[x][0, 0] = 17.0
+        assert grads_b[x][0, 0] == 2.0
+
+    def test_tape_with_grad_leaf_is_freed_without_cyclic_collection(self):
+        tape = Tape()
+        x = tape.leaf([[1.0, 2.0]], requires_grad=True)
+        grads = tape.backward(tape.sum(x))
+        ref = weakref.ref(tape)
+        gc.disable()
+        try:
+            del tape, x, grads
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_leaf_rejects_non_finite(self):
         tape = Tape()
@@ -217,12 +198,14 @@ class TestTapeMechanics:
         with pytest.raises(ShapeError):
             tape.leaf(np.zeros((2, 2, 2)))
 
-    def test_mismatched_mul_raises(self):
+    def test_mismatched_weighted_mse_raises(self):
         tape = Tape()
         a = tape.leaf([[1.0, 2.0]])
         b = tape.leaf([[1.0], [2.0]])
         with pytest.raises(ShapeError):
-            tape.mul(a, b)
+            tape.weighted_mse(a, b, (1.0, 1.0))
+        with pytest.raises(ShapeError):
+            tape.weighted_mse(a, a, (1.0,))
 
     def test_mismatched_matmul_raises(self):
         tape = Tape()
@@ -231,19 +214,15 @@ class TestTapeMechanics:
         with pytest.raises(ShapeError):
             tape.matmul(a, b)
 
-    def test_slice_cols_rejects_duplicates(self):
-        tape = Tape()
-        x = tape.leaf(np.ones((2, 3)))
-        with pytest.raises(ShapeError):
-            tape.slice_cols(x, (1, 1))
-
-    def test_slice_rows_rejects_bad_range(self):
+    def test_windows_rejects_bad_step_count(self):
         tape = Tape()
         x = tape.leaf(np.ones((4, 2)))
         with pytest.raises(ShapeError):
-            tape.slice_rows(x, 3, 3)
+            tape.windows(x, 0)
         with pytest.raises(ShapeError):
-            tape.slice_rows(x, 0, 5)
+            tape.windows(x, 5)
+        with pytest.raises(ShapeError):
+            tape.windows(tape.leaf(np.ones(4)), 2)
 
     def test_unknown_op_raises(self):
         tape = Tape()
@@ -253,7 +232,7 @@ class TestTapeMechanics:
 
 
 def reference_lstm(x, wx, wh, bias, steps, g):
-    """Per-step LSTM in plain numpy: forward, then backprop of sum(out * g).
+    """Per-step LSTM in plain numpy: forward, then backprop of upstream g.
 
     The algebra of a composite step: pre = x_t wx + h_{t-1} wh + bias, gate
     blocks (i, f, candidate, o), logistic gates, c_t = f c_{t-1} + i cand,
@@ -317,14 +296,18 @@ class TestLSTMOp:
             rng.uniform(-0.8, 0.8, (h, 4 * h)),
             rng.uniform(-0.5, 0.5, 4 * h),
         ]
-        upstream = rng.uniform(-1.0, 1.0, (steps * batch, h))
-        expected_out, expected_grads = reference_lstm(*inputs, steps, upstream)
+        # the loss is weighted_mse(target, out, ones), whose gradient on out
+        # is 2 (out - target) / rows; the reference backprops that upstream
+        target = rng.uniform(-1.0, 1.0, (steps * batch, h))
+        expected_out, _ = reference_lstm(*inputs, steps, np.zeros_like(target))
+        upstream = 2.0 * (expected_out - target) / target.shape[0]
+        _, expected_grads = reference_lstm(*inputs, steps, upstream)
 
         tape = Tape()
         needs = [wrt == "x", wrt == "weights", wrt == "weights", wrt == "weights"]
         leaves = [tape.leaf(v, requires_grad=r) for v, r in zip(inputs, needs)]
         out = tape.lstm(*leaves, steps=steps)
-        grads = tape.backward(tape.sum(tape.mul(out, tape.leaf(upstream))))
+        grads = tape.backward(tape.weighted_mse(tape.leaf(target), out, np.ones(h)))
 
         assert relative_error(out.value, expected_out) <= 1e-12
         for leaf, need, expected in zip(leaves, needs, expected_grads):
@@ -383,8 +366,9 @@ class TestGradCheckHarness:
             bias = tape.leaf([0.1, -0.2])
             h = tape.tanh(tape.add_bias(tape.matmul(x, w), bias))
             gate = tape.tanh(tape.matmul(h, w))
-            target = tape.leaf(np.full((3, 2), 0.25))
-            return tape.mean_sq_diff(tape.mul(h, gate), target)
+            target = tape.leaf(np.full((3, 4), 0.25))
+            return tape.weighted_mse(target, tape.concat_cols([h, gate]),
+                                     (0.5, 1.5, 1.0, 0.25))
 
         rng = np.random.default_rng(11)
         err = grad_check(f, rng.uniform(-1.0, 1.0, (3, 2)), eps=1e-6)
@@ -403,14 +387,19 @@ class TestGradientProperties:
     @given(arrays(np.float64, (4, 3), elements=finite_floats))
     @settings(max_examples=25, deadline=None)
     def test_column_partition_gradients_cover_input_once(self, values):
-        # summing two disjoint column slices equals summing the whole input,
-        # so the gradients must agree exactly
-        tape = Tape()
-        x = tape.leaf(values, requires_grad=True)
-        left = tape.slice_cols(x, (0,))
-        right = tape.slice_cols(x, (1, 2))
-        grads = tape.backward(tape.sum(tape.concat_cols([left, right])))
-        np.testing.assert_array_equal(grads[x], np.ones_like(values))
+        # weights that split the columns into two disjoint sets: each loss
+        # reaches its own columns only, and the two gradients add up to the
+        # gradient under all weights exactly
+        def grad(weights):
+            tape = Tape()
+            x = tape.leaf(values, requires_grad=True)
+            loss = tape.weighted_mse(tape.leaf(np.zeros_like(values)), x, weights)
+            return tape.backward(loss)[x]
+
+        left, right, full = grad((1.0, 0.0, 0.0)), grad((0.0, 1.0, 1.0)), grad((1.0,) * 3)
+        np.testing.assert_array_equal(left[:, 1:], 0.0)
+        np.testing.assert_array_equal(right[:, 0], 0.0)
+        np.testing.assert_array_equal(left + right, full)
 
     @given(
         arrays(np.float64, (2, 3), elements=finite_floats),
@@ -422,7 +411,7 @@ class TestGradientProperties:
         tape = Tape()
         a = tape.leaf(a_vals, requires_grad=True)
         b = tape.leaf(b_vals, requires_grad=True)
-        loss = tape.sum(tape.concat_rows([a, a, b]))
+        loss = tape.sum(tape.concat_cols([a, a, b]))
         grads = tape.backward(loss)
         np.testing.assert_array_equal(grads[a], np.full_like(a_vals, 2.0))
         np.testing.assert_array_equal(grads[b], np.ones_like(b_vals))

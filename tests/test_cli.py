@@ -455,13 +455,15 @@ class TestEvaluate:
         assert f"{bad}:{lineno}: " in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("change", ["dt x10", "t0 +5us"])
+    @pytest.mark.parametrize("change", ["dt x10", "t0 +5us", "50 samples"])
     def test_truth_sampled_differently_fails_validation(self, pipeline, tmp_path, capsys,
                                                         change):
         _, data_dir, _, out_dir, _ = pipeline
         truth = read_dataset_csv(data_dir / "test_1.csv")
         if change == "dt x10":
             moved = TimeSeriesSet(truth.feature_names, truth.t0, truth.dt * 10, truth.values)
+        elif change == "50 samples":
+            moved = truth.replace_values(truth.values[:50])
         else:
             moved = TimeSeriesSet(truth.feature_names, truth.t0 + 5e-6, truth.dt,
                                   truth.values)

@@ -169,15 +169,20 @@ class TestLosses:
         target = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
         poisoned = target.copy()
         poisoned[:, 1] = [1e6, -3e7]
+        # (1e200)**2 overflows to inf and 0 * inf is nan, so a kernel that
+        # reads the column and multiplies it by its weight 0 fails here
+        overflowing = target.copy()
+        overflowing[:, 1] = [1e200, -1e200]
         output = np.full((2, 3), 0.25)
         results = []
-        for data in (target, poisoned):
+        for data in (target, poisoned, overflowing):
             tape = Tape()
             t = tape.leaf(data, requires_grad=True)
             loss = reduced_loss(tape, t, tape.leaf(output), (2.0, 0.0, 0.7))
             results.append((loss.item(), tape.backward(loss)[t]))
-        assert results[0][0] == results[1][0]
-        np.testing.assert_array_equal(results[0][1], results[1][1])
+        for loss, grad in results[1:]:
+            assert loss == results[0][0]
+            np.testing.assert_array_equal(grad, results[0][1])
         np.testing.assert_array_equal(results[0][1][:, 1], 0.0)
 
     @pytest.mark.parametrize(

@@ -115,15 +115,23 @@ class TestScaler:
 
 class TestWindows:
     def test_window_stack_enumeration(self):
+        # step-major: rows 3t..3t+3 hold step t of the three windows
         values = np.arange(10.0).reshape(5, 2)
         windows = window_stack(values, 3)
-        assert windows.shape == (3, 3, 2)
-        for w in range(3):
-            np.testing.assert_array_equal(windows[w], values[w : w + 3])
+        assert windows.shape == (9, 2)
+        for t in range(3):
+            for w in range(3):
+                np.testing.assert_array_equal(windows[3 * t + w], values[w + t])
 
     def test_too_short_series_raises(self):
         with pytest.raises(ValueError):
             window_stack(np.zeros((2, 1)), 3)
+
+    def test_stack_that_does_not_split_into_steps_raises(self):
+        with pytest.raises(ValueError):
+            overlap_mean_values(np.zeros((7, 2)), 3)
+        with pytest.raises(ValueError):
+            overlap_mean_values(np.zeros((2, 2)), 3)
 
     def test_coverage_counts_enumeration(self):
         # T=5, s=3: sample 0 appears in window 0 only; sample 2 in all three
@@ -141,7 +149,7 @@ class TestWindows:
     def test_overlap_mean_inverts_window_stack(self):
         values = np.random.default_rng(2).uniform(-1, 1, (8, 3))
         windows = window_stack(values, 3)
-        merged = overlap_mean_values(windows, 8)
+        merged = overlap_mean_values(windows, 3)
         np.testing.assert_allclose(merged, values, rtol=1e-12, atol=1e-15)
 
     @given(
@@ -155,7 +163,7 @@ class TestWindows:
     @settings(max_examples=40, deadline=None)
     def test_overlap_mean_identity_property(self, values, seq_len):
         windows = window_stack(values, seq_len)
-        merged = overlap_mean_values(windows, values.shape[0])
+        merged = overlap_mean_values(windows, seq_len)
         np.testing.assert_allclose(merged, values, rtol=1e-12, atol=1e-12)
 
     def test_step_inputs_are_row_slices(self):

@@ -1,5 +1,8 @@
 """Training loop tests at toy scale."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from tracefill.nn import (
 )
 from tracefill.optim import mse
 from tracefill.preprocess import TimeSeriesSet, transform, window_stack
+from tracefill.reconstruct import ReconstructionSpec, reconstruct
 from tracefill.training import (
     TrainConfig,
     _dataset_loss_and_grads,
@@ -54,7 +58,7 @@ class TestParameterGradients:
             arrays["readout.weight"] = arrays["readout.weight"].copy()
             arrays["readout.weight"][0, 2] += delta
             return _dataset_loss_and_grads(AutoencoderParams.from_dict(arrays),
-                                           scaled, TOY_NET.seq_len)[0]
+                                           scaled, TOY_NET.seq_len)[0].item()
 
         eps = 1e-6
         numeric = (loss_at(eps) - loss_at(-eps)) / (2.0 * eps)
@@ -143,8 +147,7 @@ class TestTrain:
             return windowed_loss(tape, net, tape.leaf(scaled), seq_len, weights)[0]
 
         def pooled(tape, net):
-            windows = window_stack(scaled, seq_len)
-            x = tape.leaf(np.concatenate([windows[:, t] for t in range(seq_len)]))
+            x = tape.leaf(window_stack(scaled, seq_len))
             return mse(tape, x, forward_steps(tape, net, x, seq_len))
 
         results = []
@@ -168,6 +171,38 @@ class TestTrain:
         model, _ = train([data], config)
         report = evaluate_model(model, data)
         assert max(report.mse_scaled.values()) < 1e-3
+
+
+class TestTapeLifetime:
+    """No dead tape waits for the cyclic collector: at most the last two live."""
+
+    @staticmethod
+    def max_live_tapes(monkeypatch, run) -> int:
+        live, peak = weakref.WeakSet(), [0]
+        init = Tape.__init__
+
+        def tracked(tape):
+            init(tape)
+            live.add(tape)
+            peak[0] = max(peak[0], len(live))
+
+        monkeypatch.setattr(Tape, "__init__", tracked)
+        gc.disable()
+        try:
+            run()
+        finally:
+            gc.enable()
+        return peak[0]
+
+    def test_training(self, monkeypatch, toy_datasets):
+        config = TrainConfig(epochs=3, net=TOY_NET)
+        assert self.max_live_tapes(monkeypatch, lambda: train(toy_datasets, config)) <= 2
+
+    def test_reconstruction(self, monkeypatch, toy_model, toy_datasets):
+        model, _ = toy_model
+        spec = ReconstructionSpec(missing=("u2",), epochs=5)
+        assert self.max_live_tapes(
+            monkeypatch, lambda: reconstruct(model, toy_datasets[0], spec)) <= 2
 
 
 class TestEvaluation:
