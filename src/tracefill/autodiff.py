@@ -26,7 +26,6 @@ add_bias            ``[m, n]`` and row vector ``[n]``           ``[m, n]``
 lstm                ``x [S*B, in]``, ``wx [in, 4h]``,           ``[S*B, h]``
                     ``wh [h, 4h]``, ``bias [4h]``; ``steps=S``
 windows             ``[T, n]``; ``steps=S``, ``1 <= S <= T``    ``[S*W, n]``
-concat_cols         2-D tensors with equal row counts           cols stacked
 sum                 one tensor                                  ``[1]``
 weighted_mse        two ``[m, n]`` tensors; ``weights`` (n)     ``[1]``
 ==================  ==========================================  ============
@@ -34,8 +33,7 @@ weighted_mse        two ``[m, n]`` tensors; ``weights`` (n)     ``[1]``
 The set holds what the autoencoder and its loss record, plus ``sum`` for
 whole-tensor gradient checks: ``windows`` cuts a series into the network's
 input stack, ``lstm``, ``matmul``, ``add_bias`` and ``tanh`` run the
-network, ``weighted_mse`` scores it, and ``concat_cols`` assembles a
-series from known and optimized columns. There is no transpose: the
+network, and ``weighted_mse`` scores it. There is no transpose: the
 autoencoder's weights are lifted in the ``[in, out]`` layout its matmuls
 use. :class:`Var` has no arithmetic operators, so every recorded op is
 named at its call site.
@@ -275,30 +273,6 @@ def _bw_lstm(g, out, saved, values, needs, kwargs):
     return (gx, gwx, gwh, gb)
 
 
-def _check_2d(parts: Sequence[Array], op: str) -> None:
-    for p in parts:
-        if p.ndim != 2:
-            raise ShapeError(f"{op}: all inputs must be 2-D, got shape {p.shape}")
-
-
-def _fw_concat_cols(values, kwargs):
-    _check_2d(values, "concat_cols")
-    rows = {v.shape[0] for v in values}
-    if len(rows) != 1:
-        raise ShapeError(f"concat_cols: row counts differ: {[v.shape for v in values]}")
-    return np.concatenate(values, axis=1), None
-
-
-def _bw_concat_cols(g, out, saved, values, needs, kwargs):
-    grads = []
-    offset = 0
-    for v, need in zip(values, needs):
-        n = v.shape[1]
-        grads.append(g[:, offset:offset + n] if need else None)
-        offset += n
-    return tuple(grads)
-
-
 def _fw_sum(values, kwargs):
     return np.array([values[0].sum()]), None
 
@@ -345,7 +319,6 @@ _OPS: dict[str, _OpRule] = {
     "add_bias": _OpRule(_fw_add_bias, _bw_add_bias),
     "lstm": _OpRule(_fw_lstm, _bw_lstm),
     "windows": _OpRule(_fw_windows, _bw_windows),
-    "concat_cols": _OpRule(_fw_concat_cols, _bw_concat_cols),
     "sum": _OpRule(_fw_sum, _bw_sum),
     "weighted_mse": _OpRule(_fw_weighted_mse, _bw_weighted_mse),
 }
@@ -411,9 +384,6 @@ class Tape:
 
     def windows(self, series: Var, steps: int) -> Var:
         return self.apply("windows", series, steps=int(steps))
-
-    def concat_cols(self, parts: Sequence[Var]) -> Var:
-        return self.apply("concat_cols", *parts)
 
     def sum(self, a: Var) -> Var:
         return self.apply("sum", a)
@@ -526,7 +496,6 @@ def _op_check_cases(rng) -> list[tuple[str, Callable[[], tuple], dict]]:
                           plain((2, 8), 0.1, 0.6), plain((8,), 0.1, 0.6)),
          {"steps": 3}),
         ("windows", lambda: (plain((5, 2)),), {"steps": 3}),
-        ("concat_cols", lambda: (plain((3, 2)), plain((3, 3))), {}),
         ("sum", lambda: (plain((3, 4)),), {}),
         # the weight-0 column must get an exactly zero gradient, which the
         # relative error accepts only if the finite difference is zero too

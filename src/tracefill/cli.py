@@ -277,25 +277,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def end_to_end_gradcheck(seed: int = 0, n_samples: int = 12) -> float:
     """Reconstruction-objective gradient vs finite differences.
 
-    Builds a small untrained model and random available columns, then
-    differentiates ``windowed_loss``, the function reconstruction runs, by
-    the missing-column leaf. The weights are not all 1 and the missing
-    column's is 0, so the column weighting is checked too.
+    Builds a small untrained model and a random series, then differentiates
+    ``windowed_loss``, the per-chunk objective reconstruction runs, by the
+    whole ``[n_samples, 4]`` series leaf. The weights are not all 1 and
+    column 1's is 0, so the column weighting is checked too, and column 1
+    still gets the gradient that reaches it through the network input.
     """
     net_cfg = NetConfig(n_features=4, seq_len=3, lstm_hidden=8, latent_dim=2)
     params = init_params(net_cfg, seed)
     rng = Xoshiro256(seed + 1)
     avail = [rng.uniform(0.0, 1.0, n_samples) for _ in range(3)]
     missing0 = rng.uniform(0.0, 1.0, n_samples)
+    series = np.column_stack([avail[0], missing0, *avail[1:]])
     weights = (1.5, 0.0, 0.5, 2.0)
 
     def f(tape: Tape, x):
         net = lift_params(tape, params, requires_grad=False)
-        columns = [tape.leaf(a[:, None]) for a in avail]
-        series = tape.concat_cols([columns[0], x, *columns[1:]])
-        return windowed_loss(tape, net, series, net_cfg.seq_len, weights)[0]
+        return windowed_loss(tape, net, x, net_cfg.seq_len, weights)[0]
 
-    return grad_check(f, missing0[:, None], eps=1e-5)
+    return grad_check(f, series, eps=1e-5)
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:

@@ -2,25 +2,28 @@
 
 The trained network and scaler stay untouched. Each missing feature
 becomes a length-T optimization variable (one shared value per time step,
-no matter how many windows overlap it). Every epoch rebuilds a tape that
+no matter how many windows overlap it). Every epoch
 
-  1. assembles the full scaled series from available columns (constants)
-     and the current missing-column estimates (gradient leaves), and
-  2. scores it with ``nn.windowed_loss``, the objective training minimizes
-     too: every stride-1 window through the autoencoder, with the user's
-     weights on the available features and weight 0 on the missing ones.
+  1. assembles the full scaled [T, n] series in numpy from the available
+     columns and the current missing-column estimates, and
+  2. scores it with ``nn.windowed_objective``, the objective training
+     minimizes too: every stride-1 window through the autoencoder, with
+     the user's weights on the available features and weight 0 on the
+     missing ones, recorded one chunk of windows per tape.
 
-Adam then updates the missing columns alone. Window extraction is the
-tape's ``windows`` op, whose backward adds every window's gradient back
-onto the samples, so a sample covered by several windows accumulates all
-their contributions. The loss is one ``weighted_mse`` op, which never
-reads a missing column.
+The objective returns the gradient of the whole series, and Adam updates
+the missing columns of it alone. Window extraction is the tape's
+``windows`` op, whose backward adds every window's gradient back onto the
+samples, so a sample covered by several windows accumulates all their
+contributions, across chunk boundaries too. The loss is one
+``weighted_mse`` op per chunk, which never reads a missing column, and
+the missing columns of the series come from the estimates only, so the
+data's own values there cannot enter.
 
-One final pass on the optimized series gives both the final loss and the
-network's output stack, which ``preprocess.overlap_mean_values`` merges
-across windows into the network's own estimate of the missing columns.
-That is usually smoother than the raw optimized estimate and is reported
-alongside it.
+One final forward-only pass on the optimized series gives both the final
+loss and the network's output windows merged by overlap mean, the
+network's own estimate of the missing columns. That is usually smoother
+than the raw optimized estimate and is reported alongside it.
 """
 
 from __future__ import annotations
@@ -32,8 +35,7 @@ from typing import Mapping
 import numpy as np
 
 from . import preprocess
-from .autodiff import Tape
-from .nn import lift_params, windowed_loss
+from .nn import windowed_objective
 from .optim import Adam
 from .training import DivergenceError, TrainedModel
 
@@ -139,45 +141,34 @@ def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
     ]
     epochs = spec.resolved_epochs()
 
-    avail_cols = {
-        n: model.scaler.transform_columns(data.column(n)[:, None], [n]).ravel()
-        for n in available
-    }
     T = data.n_samples
+    miss_idx = {m: names.index(m) for m in spec.missing}
+    series = np.empty((T, len(names)))
+    for n in available:
+        series[:, names.index(n)] = model.scaler.transform_columns(
+            data.column(n)[:, None], [n]).ravel()
     init_value = 0.0 if spec.init == "zeros" else 0.5
     estimates = {m: np.full(T, init_value) for m in spec.missing}
 
     adam = Adam(spec.learning_rate)
     history: list[float] = []
+    hold: list = []  # one epoch's last tape lives until the next records its first
 
-    def build(tape: Tape, current: Mapping[str, np.ndarray]):
-        net = lift_params(tape, model.params, requires_grad=False)
-        leaves = {
-            m: tape.leaf(current[m][:, None], requires_grad=True)
-            for m in spec.missing
-        }
-        series = tape.concat_cols([
-            leaves[n] if n in leaves else tape.leaf(avail_cols[n][:, None])
-            for n in names
-        ])
-        loss, y = windowed_loss(tape, net, series, model.net.seq_len, weights)
-        return loss, leaves, y
+    def objective(current: Mapping[str, np.ndarray], wrt: str | None):
+        for m, j in miss_idx.items():
+            series[:, j] = current[m]
+        return windowed_objective(model.params, series, model.net.seq_len, weights, wrt,
+                                  hold)
 
     for epoch in range(epochs):
-        tape = Tape()
-        loss, leaves, _ = build(tape, estimates)
-        value = loss.item()
+        value, grad = objective(estimates, "series")
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite loss in epoch {epoch}")
-        grads = tape.backward(loss)
-        named_grads = {m: grads[leaf].ravel() for m, leaf in leaves.items()}
-        estimates = adam.step(estimates, named_grads)
+        estimates = adam.step(estimates, {m: grad[:, j] for m, j in miss_idx.items()})
         history.append(value)
 
-    final, _, y = build(Tape(), estimates)
-    final_loss = final.item()
+    final_loss, recon_scaled = objective(estimates, None)
     initial_loss = history[0] if history else final_loss
-    recon_scaled = preprocess.overlap_mean_values(y.value, model.net.seq_len)
 
     def to_data(m: str, scaled: np.ndarray) -> np.ndarray:
         return model.scaler.inverse_transform_columns(scaled[:, None], [m]).ravel()
@@ -185,7 +176,7 @@ def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
     return ReconstructionResult(
         x_miss={m: to_data(m, estimates[m]) for m in spec.missing},
         x_hat_miss={
-            m: to_data(m, recon_scaled[:, names.index(m)]) for m in spec.missing
+            m: to_data(m, recon_scaled[:, j]) for m, j in miss_idx.items()
         },
         loss_history=tuple(history),
         initial_loss=initial_loss,

@@ -3,8 +3,10 @@
 Each epoch walks the datasets in a rotated order (the starting dataset
 shifts by one every epoch, so no dataset always has the last word on the
 weights). Per dataset, every stride-1 window contributes to one pooled
-mean-square reconstruction loss (``nn.windowed_loss`` with weight 1/n per
-feature), whose gradient drives exactly one Adam step. The min-max scaler is fitted once, up front, over all training sets.
+mean-square reconstruction loss (``nn.windowed_objective`` with weight 1/n
+per feature, one tape per chunk of windows), whose parameter gradient
+drives exactly one Adam step. The min-max scaler is fitted once, up front,
+over all training sets. Evaluation runs the same loop forward only.
 """
 
 from __future__ import annotations
@@ -15,15 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import preprocess
-from .autodiff import Tape
-from .nn import (
-    AutoencoderParams,
-    NetConfig,
-    init_params,
-    lift_params,
-    windowed_forward,
-    windowed_loss,
-)
+from .nn import AutoencoderParams, NetConfig, init_params, windowed_objective
 from .optim import Adam
 
 
@@ -69,16 +63,15 @@ def _epoch_order(epoch: int, n_datasets: int) -> list[int]:
 
 
 def _dataset_loss_and_grads(params: AutoencoderParams, scaled: np.ndarray,
-                            seq_len: int):
-    """Pooled window MSE over one dataset (a loss Var) plus parameter gradients."""
+                            seq_len: int, hold: list | None = None):
+    """Pooled window MSE over one dataset plus the parameter gradients.
+
+    The gradients are None when the loss is not finite. ``hold`` is passed
+    on to ``windowed_objective``.
+    """
     n = scaled.shape[1]
-    tape = Tape()
-    net = lift_params(tape, params, requires_grad=True)
-    loss, _ = windowed_loss(tape, net, tape.leaf(scaled), seq_len, np.full(n, 1.0 / n))
-    grads = tape.backward(loss)
-    # matrices were lifted transposed; .T returns them in storage layout
-    named = {name: grads[leaf].T for name, leaf in net.items()}
-    return loss, named
+    return windowed_objective(params, scaled, seq_len, np.full(n, 1.0 / n), "params",
+                              hold)
 
 
 def train(datasets: Sequence[preprocess.TimeSeriesSet],
@@ -111,17 +104,12 @@ def train(datasets: Sequence[preprocess.TimeSeriesSet],
     adam = Adam(config.learning_rate)
     history: list[HistoryRow] = []
     last_loss = [float("nan")] * len(datasets)
+    hold: list = []  # one update's last tape lives until the next records its first
 
     for epoch in range(config.epochs):
         for idx in _epoch_order(epoch, len(datasets)):
-            # ``loss`` holds this update's tape until the next update has
-            # recorded its own. A tape freed before the next one is recorded
-            # left its pages at the top of the heap, glibc handed them back
-            # to the kernel, and every update faulted about 12 MB back in
-            # (T=2000, hidden 16)
-            loss, grads = _dataset_loss_and_grads(params, scaled[idx],
-                                                  config.net.seq_len)
-            value = loss.item()
+            value, grads = _dataset_loss_and_grads(params, scaled[idx],
+                                                   config.net.seq_len, hold)
             if not np.isfinite(value):
                 raise DivergenceError(
                     f"non-finite loss on dataset {idx} in epoch {epoch}"
@@ -154,11 +142,9 @@ class EvalReport:
 def reconstruct_series(model: TrainedModel,
                        scaled_values: np.ndarray) -> np.ndarray:
     """Forward every window of a scaled [T, n] array and merge by overlap mean."""
-    tape = Tape()
-    net = lift_params(tape, model.params, requires_grad=False)
-    seq_len = model.net.seq_len
-    _, y = windowed_forward(tape, net, tape.leaf(scaled_values), seq_len)
-    return preprocess.overlap_mean_values(y.value, seq_len)
+    n = scaled_values.shape[1]
+    return windowed_objective(model.params, scaled_values, model.net.seq_len,
+                              np.ones(n))[1]
 
 
 def evaluate_model(model: TrainedModel,

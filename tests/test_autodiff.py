@@ -31,7 +31,6 @@ EXPECTED_OPS = {
     "tanh",
     "windows",
     "weighted_mse",
-    "concat_cols",
     "sum",
 }
 
@@ -113,27 +112,19 @@ class TestHandDerivedGradients:
         np.testing.assert_array_equal(gx, [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0],
                                            [2.0, 2.0], [1.0, 1.0]])
 
-    def test_concat_cols_gradient_splits_back(self):
-        def build(tape):
-            a = tape.leaf([[1.0], [2.0]], requires_grad=True)
-            b = tape.leaf([[3.0, 4.0], [5.0, 6.0]], requires_grad=True)
-            return tape.sum(tape.concat_cols([a, b])), a, b
-
-        ga, gb = grads_of(build)
-        np.testing.assert_array_equal(ga, [[1.0], [1.0]])
-        np.testing.assert_array_equal(gb, np.ones((2, 2)))
-
     def test_reused_variable_accumulates_both_paths(self):
-        # loss = sum(x @ x) + sum(x); gradient (ones @ x.T + x.T @ ones) + 1
-        # is exact for these small integers
+        # loss = sum(x @ x) + 2 sum(x): x enters the matmul twice and the
+        # bias once; gradient (ones @ x.T + x.T @ ones) + 2 is exact for
+        # these small integers
         def build(tape):
             x = tape.leaf([[1.0, 2.0], [-3.0, 0.5]], requires_grad=True)
-            return tape.sum(tape.concat_cols([tape.matmul(x, x), x])), x
+            row_sums = tape.matmul(tape.matmul(x, x), tape.leaf(np.ones((2, 1))))
+            return tape.sum(tape.add_bias(row_sums, tape.sum(x))), x
 
         (gx,) = grads_of(build)
         x = np.array([[1.0, 2.0], [-3.0, 0.5]])
         ones = np.ones((2, 2))
-        np.testing.assert_array_equal(gx, ones @ x.T + x.T @ ones + 1.0)
+        np.testing.assert_array_equal(gx, ones @ x.T + x.T @ ones + 2.0)
 
 
 class TestTapeMechanics:
@@ -366,8 +357,9 @@ class TestGradCheckHarness:
             bias = tape.leaf([0.1, -0.2])
             h = tape.tanh(tape.add_bias(tape.matmul(x, w), bias))
             gate = tape.tanh(tape.matmul(h, w))
+            readout = tape.leaf([[0.4, -0.6, 0.8, 0.1], [-0.5, 0.3, 0.2, 0.9]])
             target = tape.leaf(np.full((3, 4), 0.25))
-            return tape.weighted_mse(target, tape.concat_cols([h, gate]),
+            return tape.weighted_mse(target, tape.matmul(gate, readout),
                                      (0.5, 1.5, 1.0, 0.25))
 
         rng = np.random.default_rng(11)
@@ -407,11 +399,13 @@ class TestGradientProperties:
     )
     @settings(max_examples=25, deadline=None)
     def test_linearity_of_accumulation(self, a_vals, b_vals):
-        # grad of sum(a) + sum(a) is exactly twice grad of sum(a)
+        # loss = sum(row sums of a + sum(a)) + 2 sum(b) = 3 sum(a) + 2 sum(b):
+        # the two paths from a add to exactly 3, and b's bias path to 2
         tape = Tape()
         a = tape.leaf(a_vals, requires_grad=True)
         b = tape.leaf(b_vals, requires_grad=True)
-        loss = tape.sum(tape.concat_cols([a, a, b]))
+        row_sums = tape.matmul(a, tape.leaf(np.ones((3, 1))))
+        loss = tape.sum(tape.add_bias(tape.add_bias(row_sums, tape.sum(a)), tape.sum(b)))
         grads = tape.backward(loss)
-        np.testing.assert_array_equal(grads[a], np.full_like(a_vals, 2.0))
-        np.testing.assert_array_equal(grads[b], np.ones_like(b_vals))
+        np.testing.assert_array_equal(grads[a], np.full_like(a_vals, 3.0))
+        np.testing.assert_array_equal(grads[b], np.full_like(b_vals, 2.0))

@@ -145,6 +145,17 @@ class TestTrain:
         assert history[0] == "epoch,dataset_index,loss"
         assert len(history) == 1 + 4 * 6
 
+    def test_divergence_exits_numerical_naming_dataset_and_epoch(self, pipeline, tmp_path,
+                                                                 capsys):
+        _, data_dir, *_ = pipeline
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "m.json"),
+                         "--epochs", "3", "--hidden", "4", "--lr", "1e300"])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "non-finite loss on dataset" in err and "in epoch" in err
+        assert "backward" not in err
+
     def test_missing_data_dir_fails_validation(self, tmp_path):
         assert (
             main(

@@ -1,10 +1,12 @@
 """LSTM autoencoder tests: cell algebra, initialization, shapes, gradients."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tracefill import nn
 from tracefill.autodiff import Tape, grad_check
 from tracefill.nn import (
     GATE_ORDER,
@@ -15,7 +17,10 @@ from tracefill.nn import (
     lift_params,
     param_shapes,
     windowed_forward,
+    windowed_loss,
+    windowed_objective,
 )
+from tracefill.preprocess import overlap_mean_values
 
 
 def forward_window(tape, net, window):
@@ -243,3 +248,115 @@ class TestAutoencoderForward:
 
         err = grad_check(f, base["encoder.wx"].T, eps=1e-6)
         assert err < 1e-5
+
+
+def whole_series(params, series, seq_len, weights, wrt):
+    """``windowed_objective``'s result from one ``windowed_loss`` tape."""
+    tape = Tape()
+    net = lift_params(tape, params, requires_grad=wrt == "params")
+    x = tape.leaf(series, requires_grad=wrt == "series")
+    loss, y = windowed_loss(tape, net, x, seq_len, weights)
+    if wrt is None:
+        return loss.item(), overlap_mean_values(y.value, seq_len)
+    grads = tape.backward(loss)
+    if wrt == "series":
+        return loss.item(), grads[x]
+    return loss.item(), {name: grads[v].T for name, v in net.items()}
+
+
+def arrays(result):
+    """The arrays of a ``windowed_objective`` result, in a fixed order."""
+    return list(result.values()) if isinstance(result, dict) else [result]
+
+
+class TestWindowedObjective:
+    """The chunk loop against one whole-series tape."""
+
+    NET = NetConfig(n_features=4, seq_len=3, lstm_hidden=8, latent_dim=2)
+    WEIGHTS = (1.5, 0.0, 0.5, 2.0)
+
+    def setup(self, T):
+        params = init_params(self.NET, seed=4)
+        series = np.random.default_rng(T).uniform(0.0, 1.0, (T, 4))
+        return params, series
+
+    def test_chunks_cover_the_windows_once(self, monkeypatch):
+        # 1998 windows: chunks of 512, 512, 512 and 462, each with the
+        # seq_len - 1 samples of overlap its last windows need
+        seen = []
+
+        def recording(tape, net, series, seq_len, weights):
+            seen.append((series.shape[0], weights[0]))
+            return windowed_loss(tape, net, series, seq_len, weights)
+
+        monkeypatch.setattr(nn, "windowed_loss", recording)
+        params, series = self.setup(2000)
+        windowed_objective(params, series, 3, self.WEIGHTS, "series")
+        assert [rows for rows, _ in seen] == [514, 514, 514, 464]
+        assert [w for _, w in seen] == [1.5 * (512 / 1998)] * 3 + [1.5 * (462 / 1998)]
+
+    @pytest.mark.parametrize("wrt", ["params", "series"])
+    def test_gradients_match_one_tape(self, wrt):
+        params, series = self.setup(2000)
+        loss, grads = windowed_objective(params, series, 3, self.WEIGHTS, wrt)
+        ref_loss, ref = whole_series(params, series, 3, self.WEIGHTS, wrt)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for got, want in zip(arrays(grads), arrays(ref), strict=True):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_forward_only_output_matches_overlap_mean(self):
+        params, series = self.setup(2000)
+        loss, out = windowed_objective(params, series, 3, self.WEIGHTS)
+        ref_loss, ref = whole_series(params, series, 3, self.WEIGHTS, None)
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("T", [3, 40, 514])
+    @pytest.mark.parametrize("wrt", ["params", "series", None])
+    def test_one_chunk_is_bit_identical_to_one_tape(self, T, wrt):
+        # at most CHUNK_WINDOWS windows: one chunk with share 1.0
+        params, series = self.setup(T)
+        loss, got = windowed_objective(params, series, 3, self.WEIGHTS, wrt)
+        ref_loss, ref = whole_series(params, series, 3, self.WEIGHTS, wrt)
+        assert loss == ref_loss
+        for got_array, ref_array in zip(arrays(got), arrays(ref), strict=True):
+            np.testing.assert_array_equal(got_array, ref_array)
+
+    def test_non_finite_loss_returns_before_backward(self, monkeypatch):
+        params, series = self.setup(40)
+        huge = AutoencoderParams.from_dict(
+            {k: v * 1e300 for k, v in params.as_dict().items()})
+
+        def no_backward(tape, loss):
+            raise AssertionError("backward ran on a non-finite loss")
+
+        monkeypatch.setattr(Tape, "backward", no_backward)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grads = windowed_objective(huge, series, 3, self.WEIGHTS, "params")
+        assert not np.isfinite(loss) and grads is None
+
+    def test_rejects_bad_wrt_and_short_series(self):
+        params, series = self.setup(40)
+        with pytest.raises(ValueError):
+            windowed_objective(params, series, 3, self.WEIGHTS, "weights")
+        with pytest.raises(ValueError):
+            windowed_objective(params, series[:2], 3, self.WEIGHTS)
+
+    def test_memory_is_flat_in_series_length(self):
+        # the tracemalloc peak of one reconstruction objective at 20k and
+        # 200k samples stays within 1.2x the 2k peak, plus the [T, n]
+        # gradient the loop returns
+        params = init_params(NetConfig(n_features=4, seq_len=3, lstm_hidden=4,
+                                       latent_dim=2), seed=0)
+        peaks = {}
+        for T in (2_000, 20_000, 200_000):
+            series = np.random.default_rng(0).uniform(0.0, 1.0, (T, 4))
+            tracemalloc.start()
+            try:
+                windowed_objective(params, series, 3, self.WEIGHTS, "series")
+                peaks[T] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        for T in (20_000, 200_000):
+            assert peaks[T] <= 1.2 * peaks[2_000] + T * 4 * 8, peaks

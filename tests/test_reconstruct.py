@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 from tracefill import cli, nn
-from tracefill.autodiff import grad_check
-from tracefill.nn import lift_params, windowed_loss
 from tracefill.preprocess import transform
 from tracefill.reconstruct import (
     DEFAULT_EPOCHS_MULTI_MISSING,
@@ -224,51 +222,55 @@ class TestRefine:
 
 class TestGradientPath:
     def test_end_to_end_gradient_matches_finite_differences(
-        self, toy_model, toy_datasets
+        self, monkeypatch, toy_model, toy_datasets
     ):
-        # T=10 slice: the full missing-column gradient of the production
-        # objective, through window assembly, the autoencoder and the
-        # weighted loss
+        # T=10 slice in chunks of 3, 3 and 2 windows: the missing-column
+        # gradient of the production objective, through window assembly,
+        # the autoencoder, the weighted loss and the chunk seams
+        monkeypatch.setattr(nn, "CHUNK_WINDOWS", 3)
         model, _ = toy_model
         data = toy_datasets[0]
-        values = data.values[:10]
-        scaled = model.scaler.transform_columns(values, data.feature_names)
+        series = model.scaler.transform_columns(data.values[:10], data.feature_names)
         miss_col = 2
-        weights = [0.0 if j == miss_col else 1.0 for j in range(scaled.shape[1])]
+        series[:, miss_col] = 0.4
+        weights = [0.0 if j == miss_col else 1.0 for j in range(series.shape[1])]
+        seq_len = model.net.seq_len
 
-        def f(tape, x_miss):
-            cols = [
-                x_miss if j == miss_col else tape.leaf(scaled[:, j : j + 1])
-                for j in range(scaled.shape[1])
-            ]
-            net = lift_params(tape, model.params, requires_grad=False)
-            series = tape.concat_cols(cols)
-            return windowed_loss(tape, net, series, model.net.seq_len, weights)[0]
+        def loss_at(i, delta):
+            moved = series.copy()
+            moved[i, miss_col] += delta
+            return nn.windowed_objective(model.params, moved, seq_len, weights)[0]
 
-        x0 = np.full((10, 1), 0.4)
-        assert grad_check(f, x0, eps=1e-6) < 1e-5
+        _, grad = nn.windowed_objective(model.params, series, seq_len, weights, "series")
+        analytic = grad[:, miss_col]
+        eps = 1e-6
+        numeric = np.array([(loss_at(i, eps) - loss_at(i, -eps)) / (2.0 * eps)
+                            for i in range(len(series))])
+        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-12)
+        assert (np.abs(analytic - numeric) / denom).max() < 1e-5
 
     def test_gradcheck_differentiates_the_reconstruction_objective(
         self, monkeypatch, toy_model, toy_datasets
     ):
-        # the CLI gradcheck and reconstruct bind the same windowed_loss,
-        # and both call it
+        # the CLI gradcheck differentiates the windowed_loss that the chunk
+        # loop reconstruct runs records on each tape, and both call it
         recon_module = importlib.import_module("tracefill.reconstruct")
-        calls = {"cli": 0, "reconstruct": 0}
-        for key, module in (("cli", cli), ("reconstruct", recon_module)):
-            assert module.windowed_loss is nn.windowed_loss
+        assert cli.windowed_loss is nn.windowed_loss
+        assert recon_module.windowed_objective is nn.windowed_objective
+        calls = {"cli": 0, "nn": 0}
+        for key, module in (("cli", cli), ("nn", nn)):
 
-            def counting(*args, _key=key, **kwargs):
+            def counting(*args, _key=key, _loss=nn.windowed_loss, **kwargs):
                 calls[_key] += 1
-                return nn.windowed_loss(*args, **kwargs)
+                return _loss(*args, **kwargs)
 
             monkeypatch.setattr(module, "windowed_loss", counting)
 
         assert cli.end_to_end_gradcheck(n_samples=12) < 1e-5
-        # one analytic pass plus two finite-difference passes per sample
-        assert calls["cli"] == 1 + 2 * 12
+        # one analytic pass plus two finite-difference passes per series cell
+        assert calls["cli"] == 1 + 2 * 12 * 4
         model, _ = toy_model
         spec = ReconstructionSpec(missing=("u2",), epochs=2)
         reconstruct(model, toy_datasets[0], spec)
-        # one pass per epoch plus the final pass
-        assert calls["reconstruct"] == 3
+        # 38 windows are one chunk: one tape per epoch plus the final pass
+        assert calls["nn"] == 3

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from tracefill import nn
 from tracefill.autodiff import Tape
 from tracefill.nn import (
     AutoencoderParams,
@@ -19,6 +20,7 @@ from tracefill.optim import mse
 from tracefill.preprocess import TimeSeriesSet, transform, window_stack
 from tracefill.reconstruct import ReconstructionSpec, reconstruct
 from tracefill.training import (
+    DivergenceError,
     TrainConfig,
     _dataset_loss_and_grads,
     evaluate_model,
@@ -58,7 +60,7 @@ class TestParameterGradients:
             arrays["readout.weight"] = arrays["readout.weight"].copy()
             arrays["readout.weight"][0, 2] += delta
             return _dataset_loss_and_grads(AutoencoderParams.from_dict(arrays),
-                                           scaled, TOY_NET.seq_len)[0].item()
+                                           scaled, TOY_NET.seq_len)[0]
 
         eps = 1e-6
         numeric = (loss_at(eps) - loss_at(-eps)) / (2.0 * eps)
@@ -162,6 +164,15 @@ class TestTrain:
         for name in grads_a:
             np.testing.assert_array_equal(grads_a[name], grads_b[name])
 
+    def test_divergence_names_the_dataset_and_epoch(self, toy_datasets):
+        # the chunk loop stops before a backward on a non-finite loss, so
+        # train, not the tape, reports the divergence
+        config = TrainConfig(epochs=3, learning_rate=1e300, net=TOY_NET)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError,
+                               match=r"non-finite loss on dataset \d+ in epoch \d+"):
+                train(toy_datasets, config)
+
     def test_constant_series_reconstructs_well(self):
         # an autoencoder trained on constants should reproduce them closely
         values = np.full((30, 4), 1.0) * np.array([2.0, 0.5, -1.0, 3.0])
@@ -203,6 +214,19 @@ class TestTapeLifetime:
         spec = ReconstructionSpec(missing=("u2",), epochs=5)
         assert self.max_live_tapes(
             monkeypatch, lambda: reconstruct(model, toy_datasets[0], spec)) <= 2
+
+    def test_many_chunks(self, monkeypatch, toy_model, toy_datasets):
+        # 38 windows in chunks of 8: five tapes per update and per epoch
+        monkeypatch.setattr(nn, "CHUNK_WINDOWS", 8)
+        model, _ = toy_model
+        config = TrainConfig(epochs=2, net=TOY_NET)
+        spec = ReconstructionSpec(missing=("u2",), epochs=3)
+
+        def run():
+            train(toy_datasets, config)
+            reconstruct(model, toy_datasets[0], spec)
+
+        assert self.max_live_tapes(monkeypatch, run) <= 2
 
 
 class TestEvaluation:
