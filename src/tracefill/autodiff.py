@@ -53,11 +53,18 @@ cannot change the loss or any gradient by a single bit, whatever it holds.
 ``lstm`` runs a whole LSTM layer over a step-major stack: rows
 ``t*B .. (t+1)*B`` of ``x`` are step ``t`` of B sequences, state starts at
 zero, and the output stacks every step's hidden state the same way. Gate
-blocks of ``wx``, ``wh`` and ``bias`` are in ``GATE_ORDER``. The gates'
-sigmoid is evaluated as ``0.5 * (1 + tanh(x / 2))``, which is finite for
-every finite ``x`` and agrees with ``1 / (1 + exp(-x))`` to within
-2.2e-16. Its backward is closed-form backpropagation through time over
-the cell states and gate activations kept from the forward.
+blocks of ``wx``, ``wh`` and ``bias`` are in ``GATE_ORDER``. Inside, the
+op works gate-major: it copies the weights once per call to ``[4, in,
+h]``, ``[4, h, h]`` and ``[4, 1, h]`` blocks, sigmoid gates first, and
+keeps the activations and their gradients as ``[4, S*B, h]``, so each gate
+of each step is one contiguous ``[B, h]`` block. The gates' sigmoid is
+evaluated as ``0.5 + 0.5 * tanh(x / 2)``, which is finite for every finite
+``x`` and agrees with ``1 / (1 + exp(-x))`` to within 2.2e-16. The inner
+0.5 is folded into the sigmoid blocks of the weight copies, where halving
+is exact, so one ``tanh`` over all four blocks serves every gate. The
+backward is closed-form backpropagation through time over the cell states
+and gate activations kept from the forward; it maps the weight gradients
+back to ``GATE_ORDER`` columns once, after the time loop.
 
 Backward itself is not recorded, so higher-order derivatives are out of
 scope. Node values should be treated as read-only by callers. A tape is
@@ -183,11 +190,23 @@ def _bw_add_bias(g, out, saved, values, needs, kwargs):
 # input gate, forget gate, candidate, output gate.
 GATE_ORDER = ("input", "forget", "candidate", "output")
 
+# The lstm kernel's gate order, as indices into GATE_ORDER: the sigmoid
+# gates first, so ``[:3]`` holds all three. The permutation is its own
+# inverse, so the same indices map results back.
+_KERNEL_GATES = [0, 1, 3, 2]
+# sigmoid(a) = 0.5 + 0.5 * tanh(a / 2): the sigmoid blocks of the weight
+# copies carry the inner 0.5, which is exact, so one tanh serves all four
+_HALF = np.array([0.5, 0.5, 0.5, 1.0]).reshape(4, 1, 1)
 
-def _gate_blocks(a: Array) -> tuple[Array, ...]:
-    """Views of the four GATE_ORDER column blocks of a ``[rows, 4h]`` array."""
-    h = a.shape[1] // 4
-    return tuple(a[:, k * h:(k + 1) * h] for k in range(4))
+
+def _gate_major(w: Array) -> Array:
+    """A ``[rows, 4h]`` GATE_ORDER array as a ``[4, rows, h]`` copy in kernel order."""
+    return w.reshape(w.shape[0], 4, -1).transpose(1, 0, 2)[_KERNEL_GATES]
+
+
+def _gate_columns(g4: Array) -> Array:
+    """Inverse of ``_gate_major``: ``[4, rows, h]`` kernel order to ``[rows, 4h]``."""
+    return g4[_KERNEL_GATES].transpose(1, 0, 2).reshape(g4.shape[1], -1)
 
 
 def _fw_lstm(values, kwargs):
@@ -201,31 +220,28 @@ def _fw_lstm(values, kwargs):
     if steps < 1 or x.shape[0] < steps or x.shape[0] % steps:
         raise ShapeError(f"lstm: {x.shape[0]} rows do not split into {steps} steps")
     batch = x.shape[0] // steps
-    # sigmoid(a) = 0.5 + 0.5 * tanh(a / 2), so one tanh serves all four
-    # blocks: scale by 0.5 before and after it, then shift by 0.5; the
-    # candidate block is scaled by 1 and shifted by 0, which is exact
-    half = np.full(4 * h, 0.5)
-    half[2 * h:3 * h] = 1.0
-    shift = 1.0 - half
-    acts = x @ wx  # pre-activations, overwritten by activations step by step
-    acts += bias
-    recur = np.empty((batch, 4 * h))
+    # [4, S*B, h] pre-activations, overwritten by activations step by step
+    acts = np.matmul(x, _gate_major(wx) * _HALF)
+    acts += _gate_major(bias.reshape(1, -1)) * _HALF
+    wh4 = _gate_major(wh) * _HALF
+    recur = np.empty((4, batch, h))
     hs = np.empty((x.shape[0], h))
     cs = np.empty_like(hs)
     tanh_cs = np.empty_like(hs)
+    tmp = np.empty((batch, h))
     for t in range(steps):
         rows, prev = slice(t * batch, (t + 1) * batch), slice((t - 1) * batch, t * batch)
-        a = acts[rows]
+        a = acts[:, rows]
         if t:
-            a += np.matmul(hs[prev], wh, out=recur)
-        a *= half
+            a += np.matmul(hs[prev], wh4, out=recur)
         np.tanh(a, out=a)
-        a *= half
-        a += shift
-        gate_i, gate_f, cand, gate_o = _gate_blocks(a)
+        sig = a[:3]
+        sig *= 0.5
+        sig += 0.5
+        gate_i, gate_f, gate_o, cand = a
         np.multiply(gate_i, cand, out=cs[rows])
         if t:
-            cs[rows] += gate_f * cs[prev]
+            cs[rows] += np.multiply(gate_f, cs[prev], out=tmp)
         np.tanh(cs[rows], out=tanh_cs[rows])
         np.multiply(gate_o, tanh_cs[rows], out=hs[rows])
     return hs, (acts, cs, tanh_cs)
@@ -237,21 +253,33 @@ def _bw_lstm(g, out, saved, values, needs, kwargs):
     steps = kwargs["steps"]
     batch = x.shape[0] // steps
     h = wh.shape[0]
+    # block k is wx_k.T (wh_k.T); as views, the products take twice as long
+    wx4_t = _gate_major(wx).transpose(0, 2, 1).copy()
+    wh4_t = _gate_major(wh).transpose(0, 2, 1).copy()
     dpre = np.empty_like(acts)
+    dh4 = np.empty((4, batch, h))
     dh = np.empty((batch, h))
     dc = np.zeros((batch, h))
+    tmp = np.empty((batch, h))
+    sig_slope = np.empty((3, batch, h))
     for t in range(steps - 1, -1, -1):
         rows, prev = slice(t * batch, (t + 1) * batch), slice((t - 1) * batch, t * batch)
         if t < steps - 1:
-            np.matmul(dpre[(t + 1) * batch:(t + 2) * batch], wh.T, out=dh)
+            np.matmul(dpre[:, (t + 1) * batch:(t + 2) * batch], wh4_t, out=dh4)
+            dh4.sum(axis=0, out=dh)
             dh += g[rows]
         else:
             dh[...] = g[rows]
-        a = acts[rows]
-        gate_i, gate_f, cand, gate_o = _gate_blocks(a)
-        d_i, d_f, d_cand, d_o = _gate_blocks(dpre[rows])
+        a, d = acts[:, rows], dpre[:, rows]
+        gate_i, gate_f, gate_o, cand = a
+        d_i, d_f, d_o, d_cand = d
         tanh_c = tanh_cs[rows]
-        dc += dh * gate_o * (1.0 - tanh_c * tanh_c)
+        # dc += dh * gate_o * (1 - tanh_c^2), with d_o as scratch
+        np.multiply(tanh_c, tanh_c, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        np.multiply(dh, gate_o, out=d_o)
+        d_o *= tmp
+        dc += d_o
         np.multiply(dh, tanh_c, out=d_o)
         np.multiply(dc, cand, out=d_i)
         np.multiply(dc, gate_i, out=d_cand)
@@ -260,16 +288,20 @@ def _bw_lstm(g, out, saved, values, needs, kwargs):
         else:
             d_f[...] = 0.0
         dc *= gate_f
-        # through the activations: sigmoid' = s (1 - s), tanh' = 1 - tanh^2;
-        # the input and forget blocks are adjacent, so they go together
-        d = dpre[rows]
-        d[:, :2 * h] *= a[:, :2 * h] * (1.0 - a[:, :2 * h])
-        d_cand *= 1.0 - cand * cand
-        d_o *= gate_o * (1.0 - gate_o)
-    gx = dpre @ wx.T if needs[0] else None
-    gwx = x.T @ dpre if needs[1] else None
-    gwh = out[:-batch].T @ dpre[batch:] if needs[2] else None
-    gb = dpre.sum(axis=0) if needs[3] else None
+        # through the activations: sigmoid' = s (1 - s), tanh' = 1 - tanh^2
+        sig = a[:3]
+        np.subtract(1.0, sig, out=sig_slope)
+        sig_slope *= sig
+        d[:3] *= sig_slope
+        np.multiply(cand, cand, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        d_cand *= tmp
+    gx = np.matmul(dpre, wx4_t).sum(axis=0) if needs[0] else None
+    gwx = _gate_columns(np.matmul(x.T, dpre)) if needs[1] else None
+    gwh = _gate_columns(np.matmul(out[:-batch].T, dpre[:, batch:])) if needs[2] else None
+    # a product with ones: a sum over the middle axis of dpre is 10x slower
+    ones = np.ones((1, x.shape[0]))
+    gb = _gate_columns(np.matmul(ones, dpre)).ravel() if needs[3] else None
     return (gx, gwx, gwh, gb)
 
 

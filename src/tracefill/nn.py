@@ -189,8 +189,8 @@ def windowed_loss(tape: Tape, net: dict[str, Var], series: Var,
 
 
 # Windows per tape in ``windowed_objective``. A fixed constant, so results
-# do not depend on the machine; at 512 windows the ``lstm`` op's [S*B, 4h]
-# working arrays stay in cache.
+# do not depend on the machine; at 512 windows the ``lstm`` op's
+# [4, S*B, h] working arrays stay in cache.
 CHUNK_WINDOWS = 512
 
 
@@ -213,7 +213,9 @@ def windowed_objective(params: AutoencoderParams, series: np.ndarray, seq_len: i
     - ``None``: no backward; the output windows merged by overlap mean, [T, n].
 
     A chunk whose loss is not finite ends the loop before its backward
-    runs, and the non-finite loss is returned with ``None``.
+    runs, and the non-finite loss is returned with ``None``. The forward
+    passes run with numpy's overflow and invalid-value warnings off: a
+    diverged run reports itself through that loss, not through a warning.
 
     Each chunk's tape stays alive until the next chunk's forward pass is
     recorded, and the last one is left in ``hold`` (a list the caller
@@ -240,8 +242,10 @@ def windowed_objective(params: AutoencoderParams, series: np.ndarray, seq_len: i
         tape = Tape()
         net = lift_params(tape, params, requires_grad=wrt == "params")
         leaf = tape.leaf(series[rows], requires_grad=wrt == "series")
-        loss, y = windowed_loss(tape, net, leaf, seq_len,
-                                weights * ((w1 - w0) / num_windows))
+        # a diverged run overflows here; the loss is checked for it below
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, y = windowed_loss(tape, net, leaf, seq_len,
+                                    weights * ((w1 - w0) / num_windows))
         hold[:] = [loss]  # frees the previous chunk's tape
         loss_sum += loss.item()
         if wrt is None:

@@ -131,7 +131,9 @@ def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
 
     ``data`` must contain every available feature; columns named in
     ``spec.missing`` may be absent and are ignored when present. Returns
-    estimates in data units along with the loss trajectory.
+    estimates in data units along with the loss trajectory. Raises
+    ``DivergenceError`` when an epoch's loss, or a returned column in data
+    units, is not finite.
     """
     available = _validate(model, data, spec)
     names = model.feature_names
@@ -170,13 +172,19 @@ def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
     final_loss, recon_scaled = objective(estimates, None)
     initial_loss = history[0] if history else final_loss
 
-    def to_data(m: str, scaled: np.ndarray) -> np.ndarray:
-        return model.scaler.inverse_transform_columns(scaled[:, None], [m]).ravel()
+    def to_data(m: str, scaled: np.ndarray, what: str) -> np.ndarray:
+        # an estimate that ran off to ~1e308 overflows in data units
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = model.scaler.inverse_transform_columns(scaled[:, None], [m]).ravel()
+        if not np.isfinite(values).all():
+            raise DivergenceError(f"non-finite {what} of {m!r} in data units")
+        return values
 
     return ReconstructionResult(
-        x_miss={m: to_data(m, estimates[m]) for m in spec.missing},
+        x_miss={m: to_data(m, estimates[m], "estimate") for m in spec.missing},
         x_hat_miss={
-            m: to_data(m, recon_scaled[:, j]) for m, j in miss_idx.items()
+            m: to_data(m, recon_scaled[:, j], "network output")
+            for m, j in miss_idx.items()
         },
         loss_history=tuple(history),
         initial_loss=initial_loss,

@@ -276,17 +276,24 @@ def relative_error(got, expected):
 
 class TestLSTMOp:
     @pytest.mark.parametrize("steps", [1, 2, 3, 5])
-    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize(
+        "batch,n_in,h,lifted",
+        [(1, 3, 4, False), (4, 3, 4, False),
+         # the production width, wx and wh passed the way lift_params
+         # passes them: transposes of [4h, in] and [4h, h] storage arrays
+         (4, 4, 16, True), (4, 2, 16, True)],
+        ids=["1", "4", "lifted-in4-h16", "lifted-in2-h16"])
     @pytest.mark.parametrize("wrt", ["x", "weights"])
-    def test_matches_per_step_reference(self, steps, batch, wrt):
+    def test_matches_per_step_reference(self, steps, batch, n_in, h, lifted, wrt):
         rng = np.random.default_rng(100 * steps + batch)
-        n_in, h = 3, 4
-        inputs = [
-            rng.uniform(-1.0, 1.0, (steps * batch, n_in)),
-            rng.uniform(-0.8, 0.8, (n_in, 4 * h)),
-            rng.uniform(-0.8, 0.8, (h, 4 * h)),
-            rng.uniform(-0.5, 0.5, 4 * h),
-        ]
+        x = rng.uniform(-1.0, 1.0, (steps * batch, n_in))
+        if lifted:
+            wx = rng.uniform(-0.8, 0.8, (4 * h, n_in)).T
+            wh = rng.uniform(-0.8, 0.8, (4 * h, h)).T
+        else:
+            wx = rng.uniform(-0.8, 0.8, (n_in, 4 * h))
+            wh = rng.uniform(-0.8, 0.8, (h, 4 * h))
+        inputs = [x, wx, wh, rng.uniform(-0.5, 0.5, 4 * h)]
         # the loss is weighted_mse(target, out, ones), whose gradient on out
         # is 2 (out - target) / rows; the reference backprops that upstream
         target = rng.uniform(-1.0, 1.0, (steps * batch, h))

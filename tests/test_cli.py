@@ -148,9 +148,8 @@ class TestTrain:
     def test_divergence_exits_numerical_naming_dataset_and_epoch(self, pipeline, tmp_path,
                                                                  capsys):
         _, data_dir, *_ = pipeline
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "m.json"),
-                         "--epochs", "3", "--hidden", "4", "--lr", "1e300"])
+        code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "m.json"),
+                     "--epochs", "3", "--hidden", "4", "--lr", "1e300"])
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "non-finite loss on dataset" in err and "in epoch" in err
@@ -226,6 +225,19 @@ class TestReconstruct:
             ]
         )
         assert code == EXIT_VALIDATION
+
+    def test_divergence_exits_numerical_naming_the_channel(self, pipeline, tmp_path,
+                                                           capsys):
+        # one Adam step of 1e308 puts the estimate where data units overflow
+        _, data_dir, model_path, *_ = pipeline
+        out_dir = tmp_path / "o"
+        code = main(["reconstruct", "--model", str(model_path),
+                     "--data", str(data_dir / "test_1.csv"), "--missing", "u1,u2",
+                     "--epochs", "1", "--lr", "1e308", "--out", str(out_dir)])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "'u1'" in err
+        assert not out_dir.exists()
 
     def test_weights_flag_parses(self, pipeline, tmp_path):
         root, data_dir, model_path, *_ = pipeline

@@ -332,8 +332,7 @@ class TestWindowedObjective:
             raise AssertionError("backward ran on a non-finite loss")
 
         monkeypatch.setattr(Tape, "backward", no_backward)
-        with np.errstate(over="ignore", invalid="ignore"):
-            loss, grads = windowed_objective(huge, series, 3, self.WEIGHTS, "params")
+        loss, grads = windowed_objective(huge, series, 3, self.WEIGHTS, "params")
         assert not np.isfinite(loss) and grads is None
 
     def test_rejects_bad_wrt_and_short_series(self):

@@ -168,10 +168,9 @@ class TestTrain:
         # the chunk loop stops before a backward on a non-finite loss, so
         # train, not the tape, reports the divergence
         config = TrainConfig(epochs=3, learning_rate=1e300, net=TOY_NET)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError,
-                               match=r"non-finite loss on dataset \d+ in epoch \d+"):
-                train(toy_datasets, config)
+        with pytest.raises(DivergenceError,
+                           match=r"non-finite loss on dataset \d+ in epoch \d+"):
+            train(toy_datasets, config)
 
     def test_constant_series_reconstructs_well(self):
         # an autoencoder trained on constants should reproduce them closely
