@@ -54,17 +54,29 @@ cannot change the loss or any gradient by a single bit, whatever it holds.
 ``t*B .. (t+1)*B`` of ``x`` are step ``t`` of B sequences, state starts at
 zero, and the output stacks every step's hidden state the same way. Gate
 blocks of ``wx``, ``wh`` and ``bias`` are in ``GATE_ORDER``. Inside, the
-op works gate-major: it copies the weights once per call to ``[4, in,
-h]``, ``[4, h, h]`` and ``[4, 1, h]`` blocks, sigmoid gates first, and
-keeps the activations and their gradients as ``[4, S*B, h]``, so each gate
-of each step is one contiguous ``[B, h]`` block. The gates' sigmoid is
-evaluated as ``0.5 + 0.5 * tanh(x / 2)``, which is finite for every finite
-``x`` and agrees with ``1 / (1 + exp(-x))`` to within 2.2e-16. The inner
-0.5 is folded into the sigmoid blocks of the weight copies, where halving
-is exact, so one ``tanh`` over all four blocks serves every gate. The
-backward is closed-form backpropagation through time over the cell states
-and gate activations kept from the forward; it maps the weight gradients
-back to ``GATE_ORDER`` columns once, after the time loop.
+op works gate-major: it copies the weights once per call to ``[4, in+1,
+h]`` and ``[4, h, h]`` blocks, the bias as the last input row, multiplied
+by a ones column appended to ``x``, so one product gives the
+pre-activations and, in the backward, the bias gradient with the input
+weights'. The kernel order is forget, input, output, candidate: sigmoid
+gates first, and the forget gate first of all, so the zero-state first
+step, where the forget gate multiplies a zero cell, skips that block in
+the forward and the backward. Activations and their gradients are kept
+as ``[4, S*B, h]``, so each gate of each step is one contiguous ``[B,
+h]`` block. The gates' sigmoid is evaluated as ``0.5 + 0.5 * tanh(x /
+2)``, which is finite for every finite ``x`` and agrees with ``1 / (1 +
+exp(-x))`` to within 2.2e-16. The inner 0.5 is folded into the sigmoid
+blocks of the weight copies, where halving is exact, so one ``tanh`` over
+all four blocks serves every gate. The backward is closed-form
+backpropagation through time over the cell states and gate activations
+kept from the forward; it maps the weight gradients back to
+``GATE_ORDER`` columns once, after the time loop.
+
+Inside ``lstm_arena()`` the op keeps those residuals, and takes its
+scratch arrays, from per-thread buffers that live from one opening to
+the next instead of fresh arrays per call. ``nn.windowed_objective``
+opens it around each chunk of windows. The op's output, the node value,
+is a fresh array everywhere, and outside an arena so is every other.
 
 Backward itself is not recorded, so higher-order derivatives are out of
 scope. Node values should be treated as read-only by callers. A tape is
@@ -74,7 +86,10 @@ its gradient leaves weakly, so it is never part of a reference cycle.
 
 from __future__ import annotations
 
+import math
+import threading
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -182,7 +197,8 @@ def _fw_add_bias(values, kwargs):
 
 def _bw_add_bias(g, out, saved, values, needs, kwargs):
     ga = g if needs[0] else None
-    gb = g.sum(axis=0) if needs[1] else None
+    # a product with ones: g.sum(axis=0) over a narrow [B, 2] gradient is 5x slower
+    gb = np.ones(g.shape[0]) @ g if needs[1] else None
     return (ga, gb)
 
 
@@ -190,13 +206,61 @@ def _bw_add_bias(g, out, saved, values, needs, kwargs):
 # input gate, forget gate, candidate, output gate.
 GATE_ORDER = ("input", "forget", "candidate", "output")
 
-# The lstm kernel's gate order, as indices into GATE_ORDER: the sigmoid
-# gates first, so ``[:3]`` holds all three. The permutation is its own
-# inverse, so the same indices map results back.
-_KERNEL_GATES = [0, 1, 3, 2]
+# The lstm kernel's gate order, as indices into GATE_ORDER: forget, input,
+# output, candidate. The sigmoid gates come first, so ``[:3]`` holds all
+# three, and the forget gate leads, so ``[1:]`` holds the gates a zero
+# state needs. The permutation is its own inverse, so the same indices map
+# results back.
+_KERNEL_GATES = [1, 0, 3, 2]
 # sigmoid(a) = 0.5 + 0.5 * tanh(a / 2): the sigmoid blocks of the weight
 # copies carry the inner 0.5, which is exact, so one tanh serves all four
 _HALF = np.array([0.5, 0.5, 0.5, 1.0]).reshape(4, 1, 1)
+
+
+class _Arena(threading.local):
+    """One thread's ``lstm`` working arrays, kept from one opening to the next."""
+
+    def __init__(self):
+        self.buffers: dict = {}
+        self.open = False
+        self.position = 0    # lstm forwards run since the arena opened
+        self.generation = 0  # openings so far
+
+
+_arena = _Arena()
+
+
+@contextmanager
+def lstm_arena():
+    """Let the ``lstm`` ops recorded or run inside reuse this thread's arrays.
+
+    Inside, each ``lstm`` forward keeps its residuals in buffers of its call
+    position (first, second, ... op since the arena opened), and forward and
+    backward take their scratch arrays from shared buffers. Each buffer has
+    the size of the largest call seen; a smaller call takes a leading view.
+    The next opening overwrites the residuals, so a tape recorded inside
+    must be gone before the next opening: its backward would raise. Node
+    values, and every op outside an arena, get fresh arrays.
+    """
+    if _arena.open:
+        raise RuntimeError("lstm_arena is already open in this thread")
+    _arena.open = True
+    _arena.generation += 1
+    try:
+        yield
+    finally:
+        _arena.open, _arena.position = False, 0
+
+
+def _work(key, shape: tuple[int, ...]) -> Array:
+    """An uninitialised array: a view of arena buffer ``key``, or fresh outside one."""
+    if not _arena.open:
+        return np.empty(shape)
+    size = math.prod(shape)
+    buf = _arena.buffers.get(key)
+    if buf is None or buf.size < size:
+        buf = _arena.buffers[key] = np.empty(size)
+    return buf[:size].reshape(shape)
 
 
 def _gate_major(w: Array) -> Array:
@@ -219,49 +283,63 @@ def _fw_lstm(values, kwargs):
                          f"and bias {bias.shape} do not conform")
     if steps < 1 or x.shape[0] < steps or x.shape[0] % steps:
         raise ShapeError(f"lstm: {x.shape[0]} rows do not split into {steps} steps")
-    batch = x.shape[0] // steps
+    n, n_in = x.shape
+    batch = n // steps
+    pos = _arena.position
+    if _arena.open:
+        _arena.position += 1
+    # the bias is the last weight row, multiplied by a ones column of x
+    xa = _work(("xa", pos), (n, n_in + 1))
+    xa[:, :n_in] = x
+    xa[:, n_in] = 1.0
     # [4, S*B, h] pre-activations, overwritten by activations step by step
-    acts = np.matmul(x, _gate_major(wx) * _HALF)
-    acts += _gate_major(bias.reshape(1, -1)) * _HALF
+    acts = np.matmul(xa, _gate_major(np.vstack((wx, bias))) * _HALF,
+                     out=_work(("acts", pos), (4, n, h)))
     wh4 = _gate_major(wh) * _HALF
-    recur = np.empty((4, batch, h))
-    hs = np.empty((x.shape[0], h))
-    cs = np.empty_like(hs)
-    tanh_cs = np.empty_like(hs)
-    tmp = np.empty((batch, h))
+    recur = _work("recur", (4, batch, h))
+    hs = np.empty((n, h))
+    cs = _work(("cs", pos), (n, h))
+    tanh_cs = _work(("tanh_cs", pos), (n, h))
+    tmp = _work("tmp", (batch, h))
     for t in range(steps):
         rows, prev = slice(t * batch, (t + 1) * batch), slice((t - 1) * batch, t * batch)
         a = acts[:, rows]
+        # from a zero state the forget gate multiplies a zero cell: skip it
+        live = a[1:] if t == 0 else a
         if t:
             a += np.matmul(hs[prev], wh4, out=recur)
-        np.tanh(a, out=a)
-        sig = a[:3]
+        np.tanh(live, out=live)
+        sig = live[:-1]
         sig *= 0.5
         sig += 0.5
-        gate_i, gate_f, gate_o, cand = a
+        gate_f, gate_i, gate_o, cand = a
         np.multiply(gate_i, cand, out=cs[rows])
         if t:
             cs[rows] += np.multiply(gate_f, cs[prev], out=tmp)
         np.tanh(cs[rows], out=tanh_cs[rows])
         np.multiply(gate_o, tanh_cs[rows], out=hs[rows])
-    return hs, (acts, cs, tanh_cs)
+    generation = _arena.generation if _arena.open else None
+    return hs, (xa, acts, cs, tanh_cs, generation)
 
 
 def _bw_lstm(g, out, saved, values, needs, kwargs):
     x, wx, wh, bias = values
-    acts, cs, tanh_cs = saved
+    xa, acts, cs, tanh_cs, generation = saved
+    if generation is not None and generation != _arena.generation:
+        raise RuntimeError("lstm: a later lstm_arena overwrote this tape's residuals")
     steps = kwargs["steps"]
     batch = x.shape[0] // steps
     h = wh.shape[0]
     # block k is wx_k.T (wh_k.T); as views, the products take twice as long
     wx4_t = _gate_major(wx).transpose(0, 2, 1).copy()
     wh4_t = _gate_major(wh).transpose(0, 2, 1).copy()
-    dpre = np.empty_like(acts)
-    dh4 = np.empty((4, batch, h))
-    dh = np.empty((batch, h))
-    dc = np.zeros((batch, h))
-    tmp = np.empty((batch, h))
-    sig_slope = np.empty((3, batch, h))
+    dpre = _work("dpre", acts.shape)
+    dh4 = _work("dh4", (4, batch, h))
+    dh = _work("dh", (batch, h))
+    dc = _work("dc", (batch, h))
+    dc[...] = 0.0
+    tmp = _work("tmp", (batch, h))
+    sig_slope = _work("sig_slope", (3, batch, h))
     for t in range(steps - 1, -1, -1):
         rows, prev = slice(t * batch, (t + 1) * batch), slice((t - 1) * batch, t * batch)
         if t < steps - 1:
@@ -271,8 +349,8 @@ def _bw_lstm(g, out, saved, values, needs, kwargs):
         else:
             dh[...] = g[rows]
         a, d = acts[:, rows], dpre[:, rows]
-        gate_i, gate_f, gate_o, cand = a
-        d_i, d_f, d_o, d_cand = d
+        gate_f, gate_i, gate_o, cand = a
+        d_f, d_i, d_o, d_cand = d
         tanh_c = tanh_cs[rows]
         # dc += dh * gate_o * (1 - tanh_c^2), with d_o as scratch
         np.multiply(tanh_c, tanh_c, out=tmp)
@@ -283,25 +361,28 @@ def _bw_lstm(g, out, saved, values, needs, kwargs):
         np.multiply(dh, tanh_c, out=d_o)
         np.multiply(dc, cand, out=d_i)
         np.multiply(dc, gate_i, out=d_cand)
+        # through the activations: sigmoid' = s (1 - s), tanh' = 1 - tanh^2;
+        # at the zero state the forget gate was never evaluated and d_f is 0
         if t:
             np.multiply(dc, cs[prev], out=d_f)
+            dc *= gate_f
+            sig, slope, d_sig = a[:3], sig_slope, d[:3]
         else:
             d_f[...] = 0.0
-        dc *= gate_f
-        # through the activations: sigmoid' = s (1 - s), tanh' = 1 - tanh^2
-        sig = a[:3]
-        np.subtract(1.0, sig, out=sig_slope)
-        sig_slope *= sig
-        d[:3] *= sig_slope
+            sig, slope, d_sig = a[1:3], sig_slope[1:], d[1:3]
+        np.subtract(1.0, sig, out=slope)
+        slope *= sig
+        d_sig *= slope
         np.multiply(cand, cand, out=tmp)
         np.subtract(1.0, tmp, out=tmp)
         d_cand *= tmp
-    gx = np.matmul(dpre, wx4_t).sum(axis=0) if needs[0] else None
-    gwx = _gate_columns(np.matmul(x.T, dpre)) if needs[1] else None
+    gx = (np.matmul(dpre, wx4_t, out=_work("gx4", (4, x.shape[0], x.shape[1]))).sum(axis=0)
+          if needs[0] else None)
+    # the ones column of xa turns the last row into the bias gradient
+    gwxb = _gate_columns(np.matmul(xa.T, dpre)) if needs[1] or needs[3] else None
+    gwx = gwxb[:-1] if needs[1] else None
     gwh = _gate_columns(np.matmul(out[:-batch].T, dpre[:, batch:])) if needs[2] else None
-    # a product with ones: a sum over the middle axis of dpre is 10x slower
-    ones = np.ones((1, x.shape[0]))
-    gb = _gate_columns(np.matmul(ones, dpre)).ravel() if needs[3] else None
+    gb = gwxb[-1] if needs[3] else None
     return (gx, gwx, gwh, gb)
 
 

@@ -77,7 +77,7 @@ class Sine:
 
 @dataclass(frozen=True)
 class Trapezoid:
-    """Periodic trapezoid: rise, hold high, fall, hold low."""
+    """Periodic trapezoid: rise, stay high, fall, stay low."""
 
     low: float
     high: float

@@ -192,7 +192,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     result_path = out / f"reconstruction_{stem}.csv"
     fileio.write_dataset_csv(result_path, preprocess.TimeSeriesSet(
         names, data.t0, data.dt, np.column_stack(columns)))
-    # history rows hold the loss before each update; the extra last row is
+    # history rows carry the loss before each update; the extra last row is
     # the loss after the final update, so the curve file is self-contained
     fileio.write_loss_curve_csv(
         out / f"loss_{stem}.csv",

@@ -7,7 +7,7 @@ activation) maps each decoder state back to feature space. All recurrent
 state starts at zero.
 
 Forward passes are expressed once, batched across windows, on step-major
-stacks: rows ``t*B .. (t+1)*B`` of a ``[seq_len*B, n]`` tensor hold step
+stacks: rows ``t*B .. (t+1)*B`` of a ``[seq_len*B, n]`` tensor are step
 ``t`` of all B windows (``preprocess.window_stack`` owns that layout, and
 one ``windows`` tape op applies it to a series). Each LSTM layer is one
 fused ``lstm`` tape op over the whole stack, and the latent head and
@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 # GATE_ORDER is re-exported: the gate layout of the stored LSTM arrays
-from .autodiff import GATE_ORDER, Tape, Var
+from .autodiff import GATE_ORDER, Tape, Var, lstm_arena
 from .optim import reduced_loss
 from .preprocess import coverage_counts, window_sum
 from .rng import Xoshiro256
@@ -155,7 +155,7 @@ def _lstm(tape: Tape, net: dict[str, Var], prefix: str, x: Var, steps: int) -> V
 def forward_steps(tape: Tape, net: dict[str, Var], x: Var, steps: int) -> Var:
     """Batched forward pass over a step-major stack of windows.
 
-    Rows ``t*B .. (t+1)*B`` of ``x`` (``[steps*B, n]``) hold step ``t`` of
+    Rows ``t*B .. (t+1)*B`` of ``x`` (``[steps*B, n]``) are step ``t`` of
     every window; the returned output stack has the same layout.
     """
     h_enc = _lstm(tape, net, "encoder", x, steps)
@@ -194,9 +194,33 @@ def windowed_loss(tape: Tape, net: dict[str, Var], series: Var,
 CHUNK_WINDOWS = 512
 
 
+def _chunk(params: AutoencoderParams, series: np.ndarray, seq_len: int,
+           weights: np.ndarray, wrt: str | None):
+    """One chunk's loss and its part of ``windowed_objective``'s result.
+
+    The part is None when a backward was due but the loss is not finite.
+    The chunk's tape is unreachable once this returns.
+    """
+    tape = Tape()
+    net = lift_params(tape, params, requires_grad=wrt == "params")
+    leaf = tape.leaf(series, requires_grad=wrt == "series")
+    # a diverged run overflows here; the caller checks the loss for it
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, y = windowed_loss(tape, net, leaf, seq_len, weights)
+    value = loss.item()
+    if wrt is None:
+        return value, window_sum(y.value, seq_len)
+    if not np.isfinite(value):
+        return value, None
+    grads = tape.backward(loss)
+    if wrt == "series":
+        return value, grads[leaf]
+    # matrices were lifted transposed; .T returns them in storage layout
+    return value, {name: grads[v].T for name, v in net.items()}
+
+
 def windowed_objective(params: AutoencoderParams, series: np.ndarray, seq_len: int,
-                       weights: Sequence[float], wrt: str | None = None,
-                       hold: list | None = None):
+                       weights: Sequence[float], wrt: str | None = None):
     """``windowed_loss`` of a [T, n] series, one tape per chunk of windows.
 
     Chunk ``[w0, w1)`` of the W = T - seq_len + 1 windows (at most
@@ -217,14 +241,15 @@ def windowed_objective(params: AutoencoderParams, series: np.ndarray, seq_len: i
     passes run with numpy's overflow and invalid-value warnings off: a
     diverged run reports itself through that loss, not through a warning.
 
-    Each chunk's tape stays alive until the next chunk's forward pass is
-    recorded, and the last one is left in ``hold`` (a list the caller
-    passes to each of its calls) until the next call records its first
-    chunk. The memory a tape frees then lies below a live tape, where the
-    next chunk reuses it. Freed at the top of the heap, glibc would hand it
-    back to the kernel, and the next chunk would fault it in again:
-    2300-2470 minor faults per training update instead of 240-710 (T=2000,
-    hidden 16, six datasets).
+    Each chunk runs inside an ``autodiff.lstm_arena``, so the two ``lstm``
+    ops keep their residuals and scratch in this thread's buffers, sized by
+    the largest chunk so far and reused by every later chunk and call.
+    Each chunk's tape is gone before the next one records, as the arena
+    needs. With fresh working arrays per chunk, glibc handed the freed
+    memory back to the kernel and the next chunk faulted it in again:
+    690-850 minor faults per training update (T=2000, hidden 16, six
+    datasets) and 2700-5800 per 4-epoch T=8000 reconstruction, against
+    190 and 170-180 with the arena.
     """
     if wrt not in ("params", "series", None):
         raise ValueError(f"wrt must be 'params', 'series' or None, got {wrt!r}")
@@ -233,36 +258,25 @@ def windowed_objective(params: AutoencoderParams, series: np.ndarray, seq_len: i
         raise ValueError(f"seq_len {seq_len} invalid for {T} samples")
     num_windows = T - seq_len + 1
     weights = np.asarray(weights, dtype=np.float64)
-    hold = [] if hold is None else hold
     loss_sum = 0.0
     result = None if wrt == "params" else np.zeros(series.shape)
     for w0 in range(0, num_windows, CHUNK_WINDOWS):
         w1 = min(w0 + CHUNK_WINDOWS, num_windows)
         rows = slice(w0, w1 + seq_len - 1)
-        tape = Tape()
-        net = lift_params(tape, params, requires_grad=wrt == "params")
-        leaf = tape.leaf(series[rows], requires_grad=wrt == "series")
-        # a diverged run overflows here; the loss is checked for it below
-        with np.errstate(over="ignore", invalid="ignore"):
-            loss, y = windowed_loss(tape, net, leaf, seq_len,
-                                    weights * ((w1 - w0) / num_windows))
-        hold[:] = [loss]  # frees the previous chunk's tape
-        loss_sum += loss.item()
-        if wrt is None:
-            result[rows] += window_sum(y.value, seq_len)
-            continue
-        if not np.isfinite(loss_sum):
+        with lstm_arena():
+            value, part = _chunk(params, series[rows], seq_len,
+                                 weights * ((w1 - w0) / num_windows), wrt)
+        loss_sum += value
+        if wrt is not None and not np.isfinite(loss_sum):
             return loss_sum, None
-        grads = tape.backward(loss)
-        if wrt == "series":
-            result[rows] += grads[leaf]
-        elif result is None:
-            # matrices were lifted transposed; .T returns them in storage layout
-            result = {name: grads[v].T for name, v in net.items()}
+        if wrt == "params":
+            if result is None:
+                result = part
+            else:
+                for name, grad in part.items():
+                    result[name] += grad
         else:
-            for name, v in net.items():
-                result[name] += grads[v].T
-        del grads  # its keys would keep this tape alive past the next forward
+            result[rows] += part
     if wrt is None:
         result /= coverage_counts(T, seq_len)[:, None]
     return loss_sum, result

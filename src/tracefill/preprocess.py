@@ -141,7 +141,7 @@ def inverse_transform(scaler: ScalerParams, data: TimeSeriesSet) -> TimeSeriesSe
 def window_stack(values: np.ndarray, seq_len: int) -> np.ndarray:
     """Stride-1 windows of a [T, n] array as a step-major [seq_len*W, n] stack.
 
-    W = T - seq_len + 1. Rows ``t*W .. (t+1)*W`` hold step ``t`` of every
+    W = T - seq_len + 1. Rows ``t*W .. (t+1)*W`` are step ``t`` of every
     window, which is rows ``t .. t+W`` of ``values``.
     """
     T = values.shape[0]

@@ -154,13 +154,11 @@ def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
 
     adam = Adam(spec.learning_rate)
     history: list[float] = []
-    hold: list = []  # one epoch's last tape lives until the next records its first
 
     def objective(current: Mapping[str, np.ndarray], wrt: str | None):
         for m, j in miss_idx.items():
             series[:, j] = current[m]
-        return windowed_objective(model.params, series, model.net.seq_len, weights, wrt,
-                                  hold)
+        return windowed_objective(model.params, series, model.net.seq_len, weights, wrt)
 
     for epoch in range(epochs):
         value, grad = objective(estimates, "series")

@@ -63,15 +63,13 @@ def _epoch_order(epoch: int, n_datasets: int) -> list[int]:
 
 
 def _dataset_loss_and_grads(params: AutoencoderParams, scaled: np.ndarray,
-                            seq_len: int, hold: list | None = None):
+                            seq_len: int):
     """Pooled window MSE over one dataset plus the parameter gradients.
 
-    The gradients are None when the loss is not finite. ``hold`` is passed
-    on to ``windowed_objective``.
+    The gradients are None when the loss is not finite.
     """
     n = scaled.shape[1]
-    return windowed_objective(params, scaled, seq_len, np.full(n, 1.0 / n), "params",
-                              hold)
+    return windowed_objective(params, scaled, seq_len, np.full(n, 1.0 / n), "params")
 
 
 def train(datasets: Sequence[preprocess.TimeSeriesSet],
@@ -104,12 +102,11 @@ def train(datasets: Sequence[preprocess.TimeSeriesSet],
     adam = Adam(config.learning_rate)
     history: list[HistoryRow] = []
     last_loss = [float("nan")] * len(datasets)
-    hold: list = []  # one update's last tape lives until the next records its first
 
     for epoch in range(config.epochs):
         for idx in _epoch_order(epoch, len(datasets)):
             value, grads = _dataset_loss_and_grads(params, scaled[idx],
-                                                   config.net.seq_len, hold)
+                                                   config.net.seq_len)
             if not np.isfinite(value):
                 raise DivergenceError(
                     f"non-finite loss on dataset {idx} in epoch {epoch}"

@@ -20,6 +20,7 @@ from tracefill.autodiff import (
     ShapeError,
     Tape,
     grad_check,
+    lstm_arena,
     registered_ops,
     run_op_checks,
 )
@@ -313,6 +314,48 @@ class TestLSTMOp:
                 assert relative_error(grads[leaf], expected) <= 1e-12
             else:
                 assert leaf not in grads
+
+    def test_zero_state_step_never_reads_the_forget_gate(self):
+        # one step from a zero state: the forget gate multiplies a zero cell,
+        # so its weights cannot reach the output or the x gradient by a bit,
+        # and its gradient columns are exactly zero
+        rng = np.random.default_rng(9)
+        h, forget = 3, slice(3, 6)  # GATE_ORDER block 1
+        x = rng.uniform(-1.0, 1.0, (4, 2))
+        wx, wh = rng.uniform(-0.8, 0.8, (2, 4 * h)), rng.uniform(-0.8, 0.8, (h, 4 * h))
+        bias = rng.uniform(-0.5, 0.5, 4 * h)
+
+        def run(wx, wh, bias):
+            tape = Tape()
+            leaves = [tape.leaf(v, requires_grad=True) for v in (x, wx, wh, bias)]
+            out = tape.lstm(*leaves, steps=1)
+            grads = tape.backward(tape.sum(out))
+            return out.value, [grads[leaf] for leaf in leaves]
+
+        out, grads = run(wx, wh, bias)
+        other = [w.copy() for w in (wx, wh, bias)]
+        for w in other:
+            w[..., forget] = rng.uniform(-50.0, 50.0, w[..., forget].shape)
+        other_out, other_grads = run(*other)
+        np.testing.assert_array_equal(other_out, out)
+        np.testing.assert_array_equal(other_grads[0], grads[0])
+        for g in grads[1:] + other_grads[1:]:
+            assert not g[..., forget].any()
+
+    def test_arena_residuals_expire_at_the_next_opening(self):
+        tape = Tape()
+        inputs = (np.ones((4, 2)), np.full((2, 8), 0.1), np.full((2, 8), 0.1), np.zeros(8))
+        leaves = [tape.leaf(v, requires_grad=True) for v in inputs]
+        with lstm_arena():
+            loss = tape.sum(tape.lstm(*leaves, steps=2))
+            with pytest.raises(RuntimeError):
+                with lstm_arena():
+                    pass
+        tape.backward(loss)  # no later opening yet: the residuals are intact
+        with lstm_arena():
+            pass
+        with pytest.raises(RuntimeError):
+            tape.backward(loss)
 
     def test_saturated_gates_stay_finite_without_warnings(self):
         # pre-activations of +-800: every gate and the candidate saturate

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tracefill import nn
+from tracefill import autodiff, nn
 from tracefill.autodiff import Tape, grad_check
 from tracefill.nn import (
     GATE_ORDER,
@@ -20,7 +20,7 @@ from tracefill.nn import (
     windowed_loss,
     windowed_objective,
 )
-from tracefill.preprocess import overlap_mean_values
+from tracefill.preprocess import coverage_counts, overlap_mean_values, window_sum
 
 
 def forward_window(tape, net, window):
@@ -359,3 +359,95 @@ class TestWindowedObjective:
                 tracemalloc.stop()
         for T in (20_000, 200_000):
             assert peaks[T] <= 1.2 * peaks[2_000] + T * 4 * 8, peaks
+
+
+def chunk_by_chunk(params, series, seq_len, weights, wrt, chunk):
+    """``windowed_objective``'s result summed from fresh ``windowed_loss`` tapes."""
+    num_windows = series.shape[0] - seq_len + 1
+    weights = np.asarray(weights, dtype=np.float64)
+    loss_sum, result = 0.0, None if wrt == "params" else np.zeros(series.shape)
+    for w0 in range(0, num_windows, chunk):
+        w1 = min(w0 + chunk, num_windows)
+        rows = slice(w0, w1 + seq_len - 1)
+        tape = Tape()
+        net = lift_params(tape, params, requires_grad=wrt == "params")
+        x = tape.leaf(series[rows], requires_grad=wrt == "series")
+        loss, y = windowed_loss(tape, net, x, seq_len, weights * ((w1 - w0) / num_windows))
+        loss_sum += loss.item()
+        if wrt is None:
+            result[rows] += window_sum(y.value, seq_len)
+            continue
+        grads = tape.backward(loss)
+        if wrt == "series":
+            result[rows] += grads[x]
+        elif result is None:
+            result = {name: grads[v].T for name, v in net.items()}
+        else:
+            for name, v in net.items():
+                result[name] += grads[v].T
+    if wrt is None:
+        result /= coverage_counts(series.shape[0], seq_len)[:, None]
+    return loss_sum, result
+
+
+def record_lstm(monkeypatch) -> list:
+    """Make every ``lstm`` forward append its ``(output, residuals)`` to a list."""
+    calls, rule = [], autodiff._OPS["lstm"]
+
+    def forward(values, kwargs):
+        out, saved = rule.forward(values, kwargs)
+        calls.append((out, saved))
+        return out, saved
+
+    monkeypatch.setitem(autodiff._OPS, "lstm", autodiff._OpRule(forward, rule.backward))
+    return calls
+
+
+class TestLSTMArena:
+    """``windowed_objective`` reuses the ``lstm`` working arrays across chunks."""
+
+    NET = TestWindowedObjective.NET
+    WEIGHTS = TestWindowedObjective.WEIGHTS
+    setup = TestWindowedObjective.setup
+
+    @pytest.mark.parametrize("wrt", ["params", "series", None])
+    def test_short_last_chunk_is_bit_identical_to_fresh_tapes(self, monkeypatch, wrt):
+        # 38 windows in chunks of 16: the last chunk of 6 takes leading views
+        monkeypatch.setattr(nn, "CHUNK_WINDOWS", 16)
+        params, series = self.setup(40)
+        loss, got = windowed_objective(params, series, 3, self.WEIGHTS, wrt)
+        ref_loss, ref = chunk_by_chunk(params, series, 3, self.WEIGHTS, wrt, 16)
+        assert loss == ref_loss
+        for got_array, ref_array in zip(arrays(got), arrays(ref), strict=True):
+            np.testing.assert_array_equal(got_array, ref_array)
+
+    @pytest.mark.parametrize("wrt", ["params", "series", None])
+    def test_tapes_outside_the_arena_keep_their_values(self, monkeypatch, wrt):
+        calls = record_lstm(monkeypatch)
+        params, series = self.setup(40)
+        tape = Tape()
+        net = lift_params(tape, params, requires_grad=True)
+        x = tape.leaf(series, requires_grad=True)
+        loss, y = windowed_loss(tape, net, x, 3, self.WEIGHTS)
+        values = [out for out, _ in calls] + [y.value]
+        before = [v.copy() for v in values]
+        grads_before = tape.backward(loss)
+        windowed_objective(params, self.setup(600)[1], 3, self.WEIGHTS, wrt)
+        for value, copy in zip(values, before, strict=True):
+            np.testing.assert_array_equal(value, copy)
+        # the residuals are intact too: the backward gives the same gradients
+        grads_after = tape.backward(loss)
+        for leaf, grad in grads_before.items():
+            np.testing.assert_array_equal(grads_after[leaf], grad)
+
+    def test_second_call_reuses_the_arrays_of_the_first(self, monkeypatch):
+        calls = record_lstm(monkeypatch)
+        params, series = self.setup(40)
+        windowed_objective(params, series, 3, self.WEIGHTS, "params")
+        windowed_objective(params, series[:30], 3, self.WEIGHTS, "series")
+        (enc_a, saved_a), (dec_a, saved_dec), (enc_b, saved_b), (dec_b, _) = calls
+        for first, second in zip(saved_a[:4], saved_b[:4], strict=True):
+            assert np.shares_memory(first, second)
+        # one set of residuals per call position, and fresh outputs
+        assert not np.shares_memory(saved_a[1], saved_dec[1])
+        assert not np.shares_memory(enc_a, enc_b) and not np.shares_memory(dec_a, dec_b)
