@@ -9,12 +9,13 @@ state starts at zero.
 Forward passes are expressed once, batched across windows, on step-major
 stacks: rows ``t*B .. (t+1)*B`` of a ``[seq_len*B, n]`` tensor are step
 ``t`` of all B windows (``preprocess.window_stack`` owns that layout, and
-one ``windows`` tape op applies it to a series). Each LSTM layer is one
-fused ``lstm`` tape op over the whole stack, and the latent head and
-readout are one matmul each over all ``seq_len*B`` rows, so a forward
-pass records seven ops whatever the window count. A single window is the
-``B == 1`` special case. ``windowed_loss`` is the objective on one tape:
-one ``windows`` op, the seven of the network, and one ``weighted_mse``.
+one ``windows`` tape op applies it to a series). Each LSTM layer and the
+dense layer after it are one fused ``lstm`` tape op over the whole stack
+(the encoder with the latent head, the decoder with the readout), so a
+forward pass records two ops whatever the window count. A single window
+is the ``B == 1`` special case. ``windowed_loss`` is the objective on one
+tape: one ``windows`` op, the two of the network, and one
+``weighted_mse``.
 
 ``windowed_objective`` is the one loop that training (over the weights),
 reconstruction (over the series) and evaluation (forward only) run. It
@@ -143,24 +144,18 @@ def lift_params(tape: Tape, params: AutoencoderParams,
             for name, arr in params.items()}
 
 
-def _linear(tape: Tape, net: dict[str, Var], prefix: str, x: Var) -> Var:
-    return tape.add_bias(tape.matmul(x, net[f"{prefix}.weight"]), net[f"{prefix}.bias"])
-
-
-def _lstm(tape: Tape, net: dict[str, Var], prefix: str, x: Var, steps: int) -> Var:
-    return tape.lstm(x, net[f"{prefix}.wx"], net[f"{prefix}.wh"], net[f"{prefix}.bias"],
-                     steps)
-
-
 def forward_steps(tape: Tape, net: dict[str, Var], x: Var, steps: int) -> Var:
-    """Batched forward pass over a step-major stack of windows.
+    """Batched forward pass over a step-major stack of windows: two ``lstm`` ops.
 
     Rows ``t*B .. (t+1)*B`` of ``x`` (``[steps*B, n]``) are step ``t`` of
-    every window; the returned output stack has the same layout.
+    every window; the returned output stack has the same layout. The
+    encoder's op carries the tanh latent head (``squash=True``), the
+    decoder's the linear readout (``squash=False``).
     """
-    h_enc = _lstm(tape, net, "encoder", x, steps)
-    latent = tape.tanh(_linear(tape, net, "latent", h_enc))
-    return _linear(tape, net, "readout", _lstm(tape, net, "decoder", latent, steps))
+    latent = tape.lstm(x, net["encoder.wx"], net["encoder.wh"], net["encoder.bias"],
+                       net["latent.weight"], net["latent.bias"], steps, squash=True)
+    return tape.lstm(latent, net["decoder.wx"], net["decoder.wh"], net["decoder.bias"],
+                     net["readout.weight"], net["readout.bias"], steps, squash=False)
 
 
 def windowed_forward(tape: Tape, net: dict[str, Var], series: Var,
@@ -248,8 +243,12 @@ def windowed_objective(params: AutoencoderParams, series: np.ndarray, seq_len: i
     needs. With fresh working arrays per chunk, glibc handed the freed
     memory back to the kernel and the next chunk faulted it in again:
     690-850 minor faults per training update (T=2000, hidden 16, six
-    datasets) and 2700-5800 per 4-epoch T=8000 reconstruction, against
-    190 and 170-180 with the arena.
+    datasets) and 2700-5800 per 4-epoch T=8000 reconstruction. With the
+    arena, and the hidden states and their gradient in it since the dense
+    heads run inside the ``lstm`` ops, a training update takes a median of
+    0 faults (at most 12 in 60 updates), a T=2000 reconstruction epoch 0,
+    and a 4-epoch T=8000 reconstruction 229 (getrusage in benchmark
+    rounds, seed 7).
     """
     if wrt not in ("params", "series", None):
         raise ValueError(f"wrt must be 'params', 'series' or None, got {wrt!r}")

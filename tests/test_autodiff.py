@@ -25,15 +25,7 @@ from tracefill.autodiff import (
     run_op_checks,
 )
 
-EXPECTED_OPS = {
-    "lstm",
-    "matmul",
-    "add_bias",
-    "tanh",
-    "windows",
-    "weighted_mse",
-    "sum",
-}
+EXPECTED_OPS = {"lstm", "windows", "weighted_mse", "sum"}
 
 finite_floats = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -44,6 +36,15 @@ def grads_of(build):
     loss, *leaves = build(tape)
     grads = tape.backward(loss)
     return [grads[leaf] for leaf in leaves]
+
+
+def zero_lstm(tape, x, h, b_head, requires_grad=False):
+    """The six inputs of an ``lstm`` whose four weight leaves (made here) are
+    all 0, so every hidden state is exactly 0 (gates 0.5, candidate 0) and
+    the output is ``b_head`` in every row, squashed or not."""
+    shapes = ((x.shape[1], 4 * h), (h, 4 * h), (4 * h,), (h, b_head.shape[0]))
+    return [x, *(tape.leaf(np.zeros(s), requires_grad=requires_grad) for s in shapes),
+            b_head]
 
 
 class TestOperatorSet:
@@ -58,23 +59,38 @@ class TestOperatorSet:
 
 
 class TestHandDerivedGradients:
-    def test_matmul_through_sum(self):
-        # loss = sum(x @ w); dloss/dx = ones @ w.T, exact in float64
-        def build(tape):
-            x = tape.leaf([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-            w = tape.leaf([[0.5, -1.0], [0.25, 1.5]], requires_grad=True)
-            return tape.sum(tape.matmul(x, w)), x, w
+    def test_head_gradients_through_sum(self):
+        # pre-activations of +-800 saturate every gate: i = o = 1, f = 0
+        # and the candidate 1, exactly, so c = 1 and h = tanh(1) at both
+        # steps, and every gate slope is exactly 0. loss = sum(hs @ w_head +
+        # b_head) then gives w_head the column sums of hs, 2 tanh(1), b_head
+        # the row count, and every lstm input exactly 0.
+        h, p = 2, 3
+        bias = np.zeros(4 * h)
+        bias[:h], bias[h:2 * h], bias[3 * h:] = 800.0, -800.0, 800.0  # i, f, o
+        wx = np.zeros((1, 4 * h))
+        wx[0, 2 * h:3 * h] = 800.0  # candidate
+        inputs = [np.ones((2, 1)), wx, np.full((h, 4 * h), 0.5), bias,
+                  np.arange(h * p, dtype=float).reshape(h, p), np.full(p, -1.0)]
 
-        gx, gw = grads_of(build)
-        np.testing.assert_array_equal(gx, [[-0.5, 1.75], [-0.5, 1.75]])
-        # dloss/dw = x.T @ ones
-        np.testing.assert_array_equal(gw, [[4.0, 4.0], [6.0, 6.0]])
+        def build(tape):
+            leaves = [tape.leaf(v, requires_grad=True) for v in inputs]
+            return tape.sum(tape.lstm(*leaves, steps=2, squash=False)), *leaves
+
+        gx, gwx, gwh, gbias, gw_head, gb_head = grads_of(build)
+        np.testing.assert_array_equal(gw_head, np.full((h, p), 2.0 * np.tanh(1.0)))
+        np.testing.assert_array_equal(gb_head, [2.0, 2.0, 2.0])
+        for grad, value in zip((gx, gwx, gwh, gbias), inputs):
+            np.testing.assert_array_equal(grad, np.zeros_like(value))
 
     def test_tanh_at_zero_has_unit_slope(self):
+        # the squashed head of an all-zero lstm is tanh(0 + b_head) = tanh(0)
         tape = Tape()
-        x = tape.leaf([0.0], requires_grad=True)
-        grads = tape.backward(tape.sum(tape.tanh(x)))
-        np.testing.assert_array_equal(grads[x], [1.0])
+        b_head = tape.leaf([0.0], requires_grad=True)
+        x = tape.leaf(np.ones((1, 2)))
+        out = tape.lstm(*zero_lstm(tape, x, 3, b_head), steps=1, squash=True)
+        grads = tape.backward(tape.sum(out))
+        np.testing.assert_array_equal(grads[b_head], [1.0])
 
     def test_weighted_mse_value_and_gradient(self):
         # columns: mean sq 2.5 and 4; loss 0.5 * 2.5 + 0.25 * 4 = 2.25;
@@ -92,15 +108,21 @@ class TestHandDerivedGradients:
         np.testing.assert_array_equal(gt, -go)
 
 
-    def test_add_bias_gradient_sums_over_rows(self):
+    def test_head_bias_gradient_sums_over_rows(self):
+        # an all-zero lstm outputs b_head in both rows; against the target
+        # rows (0, 0) and (2, 4) the output gradients are (10, 20) and
+        # (8, 16), which sum to the b_head gradient, and w_head meets hs = 0
         def build(tape):
-            x = tape.leaf([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-            bias = tape.leaf([10.0, 20.0], requires_grad=True)
-            return tape.sum(tape.add_bias(x, bias)), x, bias
+            b_head = tape.leaf([10.0, 20.0], requires_grad=True)
+            x = tape.leaf(np.ones((2, 1)), requires_grad=True)
+            leaves = zero_lstm(tape, x, 2, b_head, requires_grad=True)
+            out = tape.lstm(*leaves, steps=2, squash=False)
+            target = tape.leaf([[0.0, 0.0], [2.0, 4.0]])
+            return tape.weighted_mse(target, out, (1.0, 1.0)), b_head, leaves[4]
 
-        gx, gbias = grads_of(build)
-        np.testing.assert_array_equal(gx, np.ones((2, 2)))
-        np.testing.assert_array_equal(gbias, [2.0, 2.0])
+        gb_head, gw_head = grads_of(build)
+        np.testing.assert_array_equal(gb_head, [18.0, 36.0])
+        np.testing.assert_array_equal(gw_head, np.zeros((2, 2)))
 
     def test_windows_gradient_adds_every_window_cell(self):
         # each sample collects its coverage count: 1, 2, 3, 2, 1 for T=5
@@ -114,18 +136,27 @@ class TestHandDerivedGradients:
                                            [2.0, 2.0], [1.0, 1.0]])
 
     def test_reused_variable_accumulates_both_paths(self):
-        # loss = sum(x @ x) + 2 sum(x): x enters the matmul twice and the
-        # bias once; gradient (ones @ x.T + x.T @ ones) + 2 is exact for
-        # these small integers
-        def build(tape):
-            x = tape.leaf([[1.0, 2.0], [-3.0, 0.5]], requires_grad=True)
-            row_sums = tape.matmul(tape.matmul(x, x), tape.leaf(np.ones((2, 1))))
-            return tape.sum(tape.add_bias(row_sums, tape.sum(x))), x
+        # with in = h, one leaf can be both wx and wh: its gradient is the
+        # sum of the two paths', bit for bit against two separate leaves
+        # holding the same values, and to rounding against the reference
+        rng = np.random.default_rng(5)
+        h, steps = 2, 3
+        x, w = rng.uniform(-1.0, 1.0, (2 * steps, h)), rng.uniform(-0.8, 0.8, (h, 4 * h))
+        bias, w_head = rng.uniform(-0.5, 0.5, 4 * h), rng.uniform(-0.8, 0.8, (h, 2))
+        b_head = rng.uniform(-0.5, 0.5, 2)
 
-        (gx,) = grads_of(build)
-        x = np.array([[1.0, 2.0], [-3.0, 0.5]])
-        ones = np.ones((2, 2))
-        np.testing.assert_array_equal(gx, ones @ x.T + x.T @ ones + 2.0)
+        def build(tape, shared):
+            wx = tape.leaf(w, requires_grad=True)
+            wh = wx if shared else tape.leaf(w, requires_grad=True)
+            leaves = [tape.leaf(x), wx, wh] + [tape.leaf(v) for v in (bias, w_head, b_head)]
+            return tape.sum(tape.lstm(*leaves, steps=steps, squash=False)), wx, wh
+
+        shared, _ = grads_of(lambda tape: build(tape, True))
+        gwx, gwh = grads_of(lambda tape: build(tape, False))
+        np.testing.assert_array_equal(shared, gwx + gwh)
+        _, ref = reference_lstm(x, w, w, bias, w_head, b_head, steps, False,
+                                np.ones((2 * steps, 2)))
+        assert relative_error(shared, ref[1] + ref[2]) <= 1e-12
 
 
 class TestTapeMechanics:
@@ -151,11 +182,12 @@ class TestTapeMechanics:
 
     def test_frozen_leaves_are_absent_from_gradients(self):
         tape = Tape()
-        x = tape.leaf([[1.0]], requires_grad=True)
-        w = tape.leaf([[2.0]], requires_grad=False)
-        grads = tape.backward(tape.sum(tape.matmul(x, w)))
+        x = tape.leaf(np.ones((2, 1)), requires_grad=True)
+        x, *frozen = zero_lstm(tape, x, 1, tape.leaf([2.0], requires_grad=False))
+        grads = tape.backward(tape.sum(tape.lstm(x, *frozen, steps=2, squash=True)))
         assert x in grads
-        assert w not in grads
+        for w in frozen:
+            assert w not in grads
 
     def test_gradient_arrays_are_independent_copies(self):
         tape = Tape()
@@ -199,13 +231,6 @@ class TestTapeMechanics:
         with pytest.raises(ShapeError):
             tape.weighted_mse(a, a, (1.0,))
 
-    def test_mismatched_matmul_raises(self):
-        tape = Tape()
-        a = tape.leaf(np.ones((2, 3)))
-        b = tape.leaf(np.ones((2, 3)))
-        with pytest.raises(ShapeError):
-            tape.matmul(a, b)
-
     def test_windows_rejects_bad_step_count(self):
         tape = Tape()
         x = tape.leaf(np.ones((4, 2)))
@@ -223,13 +248,14 @@ class TestTapeMechanics:
             tape.apply("no_such_op", x)
 
 
-def reference_lstm(x, wx, wh, bias, steps, g):
-    """Per-step LSTM in plain numpy: forward, then backprop of upstream g.
+def reference_lstm(x, wx, wh, bias, w_head, b_head, steps, squash, g):
+    """Per-step LSTM and its head in plain numpy: forward, then backprop of g.
 
     The algebra of a composite step: pre = x_t wx + h_{t-1} wh + bias, gate
     blocks (i, f, candidate, o), logistic gates, c_t = f c_{t-1} + i cand,
-    h_t = o tanh(c_t), zero initial state. Returns the stacked hidden
-    states and the gradients of x, wx, wh and bias.
+    h_t = o tanh(c_t), zero initial state. The head maps the stacked hidden
+    states to hs w_head + b_head, through tanh if ``squash``. Returns that
+    output and the gradients of x, wx, wh, bias, w_head and b_head.
     """
     batch, h = x.shape[0] // steps, wh.shape[0]
 
@@ -245,6 +271,13 @@ def reference_lstm(x, wx, wh, bias, steps, g):
         cache.append((i, f, cand, o, np.tanh(c)))
         cs.append(c)
         hs.append(o * np.tanh(c))
+    hs_stack = np.concatenate(hs[1:])
+    out = hs_stack @ w_head + b_head
+    if squash:
+        out = np.tanh(out)
+        g = g * (1.0 - out ** 2)
+    gw_head, gb_head = hs_stack.T @ g, g.sum(axis=0)
+    g = g @ w_head.T
 
     gx, gwx = np.zeros_like(x), np.zeros_like(wx)
     gwh, gb = np.zeros_like(wh), np.zeros_like(bias)
@@ -265,7 +298,7 @@ def reference_lstm(x, wx, wh, bias, steps, g):
         gwh += hs[t].T @ dpre
         gb += dpre.sum(axis=0)
         dh_next, dc_next = dpre @ wh.T, dc * f
-    return np.concatenate(hs[1:]), (gx, gwx, gwh, gb)
+    return out, (gx, gwx, gwh, gb, gw_head, gb_head)
 
 
 def relative_error(got, expected):
@@ -287,33 +320,38 @@ class TestLSTMOp:
     @pytest.mark.parametrize("wrt", ["x", "weights"])
     def test_matches_per_step_reference(self, steps, batch, n_in, h, lifted, wrt):
         rng = np.random.default_rng(100 * steps + batch)
+        p = 3
         x = rng.uniform(-1.0, 1.0, (steps * batch, n_in))
         if lifted:
             wx = rng.uniform(-0.8, 0.8, (4 * h, n_in)).T
             wh = rng.uniform(-0.8, 0.8, (4 * h, h)).T
+            w_head = rng.uniform(-0.8, 0.8, (p, h)).T
         else:
             wx = rng.uniform(-0.8, 0.8, (n_in, 4 * h))
             wh = rng.uniform(-0.8, 0.8, (h, 4 * h))
-        inputs = [x, wx, wh, rng.uniform(-0.5, 0.5, 4 * h)]
+            w_head = rng.uniform(-0.8, 0.8, (h, p))
+        inputs = [x, wx, wh, rng.uniform(-0.5, 0.5, 4 * h), w_head,
+                  rng.uniform(-0.5, 0.5, p)]
         # the loss is weighted_mse(target, out, ones), whose gradient on out
         # is 2 (out - target) / rows; the reference backprops that upstream
-        target = rng.uniform(-1.0, 1.0, (steps * batch, h))
-        expected_out, _ = reference_lstm(*inputs, steps, np.zeros_like(target))
-        upstream = 2.0 * (expected_out - target) / target.shape[0]
-        _, expected_grads = reference_lstm(*inputs, steps, upstream)
+        target = rng.uniform(-1.0, 1.0, (steps * batch, p))
+        for squash in (True, False):
+            expected_out, _ = reference_lstm(*inputs, steps, squash, np.zeros_like(target))
+            upstream = 2.0 * (expected_out - target) / target.shape[0]
+            _, expected_grads = reference_lstm(*inputs, steps, squash, upstream)
 
-        tape = Tape()
-        needs = [wrt == "x", wrt == "weights", wrt == "weights", wrt == "weights"]
-        leaves = [tape.leaf(v, requires_grad=r) for v, r in zip(inputs, needs)]
-        out = tape.lstm(*leaves, steps=steps)
-        grads = tape.backward(tape.weighted_mse(tape.leaf(target), out, np.ones(h)))
+            tape = Tape()
+            needs = [wrt == "x"] + [wrt == "weights"] * 5
+            leaves = [tape.leaf(v, requires_grad=r) for v, r in zip(inputs, needs)]
+            out = tape.lstm(*leaves, steps=steps, squash=squash)
+            grads = tape.backward(tape.weighted_mse(tape.leaf(target), out, np.ones(p)))
 
-        assert relative_error(out.value, expected_out) <= 1e-12
-        for leaf, need, expected in zip(leaves, needs, expected_grads):
-            if need:
-                assert relative_error(grads[leaf], expected) <= 1e-12
-            else:
-                assert leaf not in grads
+            assert relative_error(out.value, expected_out) <= 1e-12
+            for leaf, need, expected in zip(leaves, needs, expected_grads, strict=True):
+                if need:
+                    assert relative_error(grads[leaf], expected) <= 1e-12
+                else:
+                    assert leaf not in grads
 
     def test_zero_state_step_never_reads_the_forget_gate(self):
         # one step from a zero state: the forget gate multiplies a zero cell,
@@ -326,9 +364,11 @@ class TestLSTMOp:
         bias = rng.uniform(-0.5, 0.5, 4 * h)
 
         def run(wx, wh, bias):
+            # the identity head returns the hidden states bit for bit
             tape = Tape()
             leaves = [tape.leaf(v, requires_grad=True) for v in (x, wx, wh, bias)]
-            out = tape.lstm(*leaves, steps=1)
+            head = [tape.leaf(np.eye(h)), tape.leaf(np.zeros(h))]
+            out = tape.lstm(*leaves, *head, steps=1, squash=False)
             grads = tape.backward(tape.sum(out))
             return out.value, [grads[leaf] for leaf in leaves]
 
@@ -344,10 +384,11 @@ class TestLSTMOp:
 
     def test_arena_residuals_expire_at_the_next_opening(self):
         tape = Tape()
-        inputs = (np.ones((4, 2)), np.full((2, 8), 0.1), np.full((2, 8), 0.1), np.zeros(8))
+        inputs = (np.ones((4, 2)), np.full((2, 8), 0.1), np.full((2, 8), 0.1), np.zeros(8),
+                  np.full((2, 1), 0.1), np.zeros(1))
         leaves = [tape.leaf(v, requires_grad=True) for v in inputs]
         with lstm_arena():
-            loss = tape.sum(tape.lstm(*leaves, steps=2))
+            loss = tape.sum(tape.lstm(*leaves, steps=2, squash=True))
             with pytest.raises(RuntimeError):
                 with lstm_arena():
                     pass
@@ -365,12 +406,15 @@ class TestLSTMOp:
         wx = tape.leaf(np.zeros((1, 4 * h)), requires_grad=True)
         wh = tape.leaf(np.zeros((h, 4 * h)), requires_grad=True)
         bias = tape.leaf(np.tile([800.0, -800.0], 4 * h // 2), requires_grad=True)
+        # the identity head returns the hidden states bit for bit
+        w_head = tape.leaf(np.eye(h), requires_grad=True)
+        b_head = tape.leaf(np.zeros(h), requires_grad=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            out = tape.lstm(x, wx, wh, bias, steps=3)
+            out = tape.lstm(x, wx, wh, bias, w_head, b_head, steps=3, squash=False)
             grads = tape.backward(tape.sum(out))
         assert np.isfinite(out.value).all()
-        for leaf in (x, wx, wh, bias):
+        for leaf in (x, wx, wh, bias, w_head, b_head):
             assert np.isfinite(grads[leaf]).all()
 
     @pytest.mark.parametrize(
@@ -386,9 +430,22 @@ class TestLSTMOp:
     )
     def test_wrong_shapes_raise(self, x_shape, wx_shape, wh_shape, bias_shape, steps):
         tape = Tape()
-        args = [tape.leaf(np.ones(s)) for s in (x_shape, wx_shape, wh_shape, bias_shape)]
+        args = [tape.leaf(np.ones(s)) for s in (x_shape, wx_shape, wh_shape, bias_shape,
+                                                (wh_shape[0], 3), (3,))]
         with pytest.raises(ShapeError):
-            tape.lstm(*args, steps=steps)
+            tape.lstm(*args, steps=steps, squash=True)
+
+    @pytest.mark.parametrize(
+        "w_head_shape,b_head_shape",
+        [((3, 2), (2,)), ((2,), (2,)), ((2, 2), (3,)), ((2, 2), (1, 2))],
+        ids=["w_head-rows", "w_head-1d", "b_head-width", "b_head-2d"])
+    def test_wrong_head_shapes_raise(self, w_head_shape, b_head_shape):
+        # an lstm of h = 2 over 3 inputs; only the head does not conform
+        tape = Tape()
+        args = [tape.leaf(np.ones(s)) for s in ((6, 3), (3, 8), (2, 8), (8,),
+                                                w_head_shape, b_head_shape)]
+        with pytest.raises(ShapeError):
+            tape.lstm(*args, steps=3, squash=True)
 
 
 class TestGradCheckHarness:
@@ -402,18 +459,23 @@ class TestGradCheckHarness:
             grad_check(f, np.ones(3), eps=1e-12)
 
     def test_composite_network_style_function(self):
-        def f(tape, x):
-            w = tape.leaf([[0.7, -0.3], [0.2, 0.9]])
-            bias = tape.leaf([0.1, -0.2])
-            h = tape.tanh(tape.add_bias(tape.matmul(x, w), bias))
-            gate = tape.tanh(tape.matmul(h, w))
-            readout = tape.leaf([[0.4, -0.6, 0.8, 0.1], [-0.5, 0.3, 0.2, 0.9]])
-            target = tape.leaf(np.full((3, 4), 0.25))
-            return tape.weighted_mse(target, tape.matmul(gate, readout),
-                                     (0.5, 1.5, 1.0, 0.25))
-
+        # the autoencoder's four ops on a [5, 4] series: windows of 2 steps,
+        # an encoder with a squashed 1-wide head, a decoder with a linear
+        # readout, and the weighted loss against the windows themselves
         rng = np.random.default_rng(11)
-        err = grad_check(f, rng.uniform(-1.0, 1.0, (3, 2)), eps=1e-6)
+        h = 3
+        enc = [rng.uniform(-0.8, 0.8, s) for s in ((4, 4 * h), (h, 4 * h), (4 * h,),
+                                                   (h, 1), (1,))]
+        dec = [rng.uniform(-0.8, 0.8, s) for s in ((1, 4 * h), (h, 4 * h), (4 * h,),
+                                                   (h, 4), (4,))]
+
+        def f(tape, series):
+            x = tape.windows(series, 2)
+            latent = tape.lstm(x, *map(tape.leaf, enc), steps=2, squash=True)
+            y = tape.lstm(latent, *map(tape.leaf, dec), steps=2, squash=False)
+            return tape.weighted_mse(x, y, (0.5, 1.5, 1.0, 0.25))
+
+        err = grad_check(f, rng.uniform(-1.0, 1.0, (5, 4)), eps=1e-6)
         assert err < 1e-5
 
 
@@ -445,17 +507,31 @@ class TestGradientProperties:
 
     @given(
         arrays(np.float64, (2, 3), elements=finite_floats),
-        arrays(np.float64, (2, 3), elements=finite_floats),
+        arrays(np.float64, (3,), elements=finite_floats),
     )
     @settings(max_examples=25, deadline=None)
     def test_linearity_of_accumulation(self, a_vals, b_vals):
-        # loss = sum(row sums of a + sum(a)) + 2 sum(b) = 3 sum(a) + 2 sum(b):
-        # the two paths from a add to exactly 3, and b's bias path to 2
-        tape = Tape()
-        a = tape.leaf(a_vals, requires_grad=True)
-        b = tape.leaf(b_vals, requires_grad=True)
-        row_sums = tape.matmul(a, tape.leaf(np.ones((3, 1))))
-        loss = tape.sum(tape.add_bias(tape.add_bias(row_sums, tape.sum(a)), tape.sum(b)))
-        grads = tape.backward(loss)
-        np.testing.assert_array_equal(grads[a], np.full_like(a_vals, 3.0))
-        np.testing.assert_array_equal(grads[b], np.full_like(b_vals, 2.0))
+        # b is the head bias of both lstm ops of loss = sum(dec(enc(a))): its
+        # gradient is the encoder's path plus the decoder's, bit for bit
+        # against two separate leaves, and the decoder's path is exactly
+        # the row count, 2, since sum passes ones through a linear head
+        rng = np.random.default_rng(3)
+        h = 2
+        weights = [[rng.uniform(-0.8, 0.8, s) for s in ((3, 4 * h), (h, 4 * h), (4 * h,),
+                                                         (h, 3))] for _ in range(2)]
+
+        def bias_grads(shared):
+            tape = Tape()
+            a = tape.leaf(a_vals, requires_grad=True)
+            b_enc = tape.leaf(b_vals, requires_grad=True)
+            b_dec = b_enc if shared else tape.leaf(b_vals, requires_grad=True)
+            enc, dec = ([tape.leaf(w, requires_grad=True) for w in ws] for ws in weights)
+            latent = tape.lstm(a, *enc, b_enc, steps=2, squash=True)
+            grads = tape.backward(tape.sum(tape.lstm(latent, *dec, b_dec, steps=2,
+                                                     squash=False)))
+            return grads[b_enc], grads[b_dec]
+
+        shared, _ = bias_grads(True)
+        g_enc, g_dec = bias_grads(False)
+        np.testing.assert_array_equal(g_dec, np.full(3, 2.0))
+        np.testing.assert_array_equal(shared, g_enc + g_dec)

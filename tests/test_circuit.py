@@ -145,9 +145,10 @@ class TestSimulation:
             simulate(params, WaveformSpec((Dc(1.0),)), coarse, 16)
 
     def test_divergence_raises_simulation_error(self):
-        # an absurdly large step makes RK4 blow up to non-finite values
+        # an absurdly large step makes RK4 blow up to non-finite values,
+        # after the coarse-grid warning
         params = CircuitParams(r1=1.0, l=1e-9, c0=1e-9, v0=5.0, rload=10.0)
-        with pytest.raises(SimulationError):
+        with pytest.warns(UserWarning, match="coarse"), pytest.raises(SimulationError):
             simulate(params, WaveformSpec((Dc(100.0),)), 1e-3, 200)
 
     def test_initial_state_is_zero(self):

@@ -504,7 +504,7 @@ class TestGradcheck:
     def test_passes_and_prints_per_op_lines(self, capsys):
         assert main(["gradcheck", "--samples", "2"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert "matmul" in out
+        assert "lstm" in out
         assert "reduced loss" in out
         assert "end-to-end" in out
         assert "FAIL" not in out

@@ -111,6 +111,14 @@ class TestInitialization:
             )
 
 
+def encoder_states(tape, net, x, steps):
+    """The encoder's hidden states: its ``lstm`` op with an identity head,
+    ``hs @ I + 0`` without a squash, which returns them bit for bit."""
+    h = net["encoder.wh"].shape[0]
+    return tape.lstm(x, net["encoder.wx"], net["encoder.wh"], net["encoder.bias"],
+                     tape.leaf(np.eye(h)), tape.leaf(np.zeros(h)), steps, squash=False)
+
+
 class TestLSTMStep:
     """Cell algebra of the fused ``lstm`` op, read through the stored layout."""
 
@@ -119,8 +127,7 @@ class TestLSTMStep:
         tape = Tape()
         net = lift_params(tape, params, requires_grad=False)
         x = tape.leaf(np.asarray(x_val, dtype=float))
-        return tape.lstm(x, net["encoder.wx"], net["encoder.wh"], net["encoder.bias"],
-                         steps).value
+        return encoder_states(tape, net, x, steps).value
 
     def test_zero_params_zero_state_gives_zero_output(self):
         # gates are 0.5 and the candidate 0, so c and h stay 0 at every step
@@ -167,8 +174,7 @@ class TestLSTMStep:
 
         def f(tape, x):
             net = lift_params(tape, params, requires_grad=False)
-            h = tape.lstm(x, net["encoder.wx"], net["encoder.wh"], net["encoder.bias"],
-                          steps=2)
+            h = encoder_states(tape, net, x, steps=2)
             return tape.weighted_mse(tape.leaf(np.zeros((2, 3))), h, np.ones(3))
 
         err = grad_check(f, np.array([[0.4, -0.7], [0.1, 0.5]]), eps=1e-6)
@@ -442,12 +448,18 @@ class TestLSTMArena:
 
     def test_second_call_reuses_the_arrays_of_the_first(self, monkeypatch):
         calls = record_lstm(monkeypatch)
+        monkeypatch.setattr(autodiff._arena, "buffers", {})
         params, series = self.setup(40)
         windowed_objective(params, series, 3, self.WEIGHTS, "params")
+        dhs = autodiff._arena.buffers["dhs"]
         windowed_objective(params, series[:30], 3, self.WEIGHTS, "series")
         (enc_a, saved_a), (dec_a, saved_dec), (enc_b, saved_b), (dec_b, _) = calls
-        for first, second in zip(saved_a[:4], saved_b[:4], strict=True):
+        # xa, acts, cs, tanh_cs and hs
+        for first, second in zip(saved_a[:5], saved_b[:5], strict=True):
             assert np.shares_memory(first, second)
+        # the hidden-state gradient buffer of the backward
+        assert autodiff._arena.buffers["dhs"] is dhs
         # one set of residuals per call position, and fresh outputs
-        assert not np.shares_memory(saved_a[1], saved_dec[1])
+        for first, dec in zip(saved_a[:5], saved_dec[:5], strict=True):
+            assert not np.shares_memory(first, dec)
         assert not np.shares_memory(enc_a, enc_b) and not np.shares_memory(dec_a, dec_b)
