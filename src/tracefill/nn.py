@@ -26,6 +26,13 @@ the chunk losses and gradients add up to those of one whole-series
 ``windowed_loss`` tape, while tape memory stays the same for any series
 length.
 
+The chunks are independent until their losses and gradients are added,
+so inside ``chunk_helper()`` (which ``training.train`` and
+``reconstruct.reconstruct`` open) a forked helper process runs the first
+chunk of every pair while the caller runs the second. The caller adds
+both in chunk order, the serial loop's left fold, so every result is
+bit-identical whether a run has one CPU or two.
+
 The parameters are one table of ten named arrays, spelled out only in
 ``param_shapes``: training writes it, the model file stores it and
 reconstruction reads it frozen. ``lift_params`` puts each array on a tape
@@ -35,7 +42,12 @@ multiplies by, and the layers look their weights up by name.
 
 from __future__ import annotations
 
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass
+import os
+import queue
+import signal
+import threading
 from typing import Sequence
 
 import numpy as np
@@ -158,19 +170,6 @@ def forward_steps(tape: Tape, net: dict[str, Var], x: Var, steps: int) -> Var:
                      net["readout.weight"], net["readout.bias"], steps, squash=False)
 
 
-def windowed_forward(tape: Tape, net: dict[str, Var], series: Var,
-                     seq_len: int) -> tuple[Var, Var]:
-    """Forward every stride-1 window of a [T, n] series as one batch.
-
-    One ``windows`` op cuts the series into the step-major input stack; its
-    backward adds each window's gradient back onto the samples, so a sample
-    that sits in k windows receives k contributions. Returns the input and
-    output stacks, each ``[seq_len * num_windows, n]``.
-    """
-    x = tape.windows(series, seq_len)
-    return x, forward_steps(tape, net, x, seq_len)
-
-
 def windowed_loss(tape: Tape, net: dict[str, Var], series: Var,
                   seq_len: int, weights: Sequence[float]) -> tuple[Var, Var]:
     """The objective of training and reconstruction, plus the output stack.
@@ -178,8 +177,15 @@ def windowed_loss(tape: Tape, net: dict[str, Var], series: Var,
     Sum over features j of ``weights[j]`` times the mean-square error
     between the inputs and outputs of every stride-1 window of ``series``
     in column j. A feature with weight 0 does not enter the loss.
+
+    One ``windows`` op cuts the series into the step-major input stack of
+    every stride-1 window; its backward adds each window's gradient back
+    onto the samples, so a sample that sits in k windows receives k
+    contributions. The output stack has the same ``[seq_len * num_windows,
+    n]`` layout.
     """
-    x, y = windowed_forward(tape, net, series, seq_len)
+    x = tape.windows(series, seq_len)
+    y = forward_steps(tape, net, x, seq_len)
     return reduced_loss(tape, x, y, weights), y
 
 
@@ -194,24 +200,201 @@ def _chunk(params: AutoencoderParams, series: np.ndarray, seq_len: int,
     """One chunk's loss and its part of ``windowed_objective``'s result.
 
     The part is None when a backward was due but the loss is not finite.
-    The chunk's tape is unreachable once this returns.
+    The chunk runs inside an ``autodiff.lstm_arena``, and its tape is
+    unreachable once this returns.
     """
-    tape = Tape()
-    net = lift_params(tape, params, requires_grad=wrt == "params")
-    leaf = tape.leaf(series, requires_grad=wrt == "series")
-    # a diverged run overflows here; the caller checks the loss for it
-    with np.errstate(over="ignore", invalid="ignore"):
-        loss, y = windowed_loss(tape, net, leaf, seq_len, weights)
-    value = loss.item()
-    if wrt is None:
-        return value, window_sum(y.value, seq_len)
-    if not np.isfinite(value):
-        return value, None
-    grads = tape.backward(loss)
-    if wrt == "series":
-        return value, grads[leaf]
-    # matrices were lifted transposed; .T returns them in storage layout
-    return value, {name: grads[v].T for name, v in net.items()}
+    with lstm_arena():
+        tape = Tape()
+        net = lift_params(tape, params, requires_grad=wrt == "params")
+        leaf = tape.leaf(series, requires_grad=wrt == "series")
+        # a diverged run overflows here; the caller checks the loss for it
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, y = windowed_loss(tape, net, leaf, seq_len, weights)
+        value = loss.item()
+        if wrt is None:
+            return value, window_sum(y.value, seq_len)
+        if not np.isfinite(value):
+            return value, None
+        grads = tape.backward(loss)
+        if wrt == "series":
+            return value, grads[leaf]
+        # matrices were lifted transposed; .T returns them in storage layout
+        return value, {name: grads[v].T for name, v in net.items()}
+
+
+def _chunk_jobs(params: AutoencoderParams, series: np.ndarray, seq_len: int,
+                weights: np.ndarray, wrt: str | None):
+    """Each chunk's sample rows and ``_chunk`` arguments, in chunk order.
+
+    Chunk ``[w0, w1)`` of the W windows covers samples
+    ``[w0, w1 + seq_len - 1)`` and takes the weights times its share
+    ``(w1 - w0) / W``.
+    """
+    num_windows = series.shape[0] - seq_len + 1
+    for w0 in range(0, num_windows, CHUNK_WINDOWS):
+        w1 = min(w0 + CHUNK_WINDOWS, num_windows)
+        rows = slice(w0, w1 + seq_len - 1)
+        yield rows, (params, series[rows], seq_len,
+                     weights * ((w1 - w0) / num_windows), wrt)
+
+
+class _Helper(threading.local):
+    """One thread's ``chunk_helper`` scope and, once forked, its helper process."""
+
+    def __init__(self):
+        self.open = False
+        self.conn = None  # the caller's end of the pipe to the helper
+        self.process = None
+
+
+_helper = _Helper()
+
+
+@contextmanager
+def chunk_helper():
+    """Let the ``windowed_objective`` calls inside share their chunks with a helper process.
+
+    The first call inside that has at least two chunks forks one helper
+    (``multiprocessing``'s "fork" context and one ``Pipe``), and the later
+    calls reuse it. The helper runs the first chunk of every pair, the
+    caller the second, and the caller folds both in chunk order, so every
+    loss, gradient and output is bit-identical to the serial loop's. On one
+    CPU (``os.sched_getaffinity``), or where ``fork`` is unavailable, the
+    calls run serially. On exit the pipe is closed and the helper joined,
+    so no process outlives the scope. Opening a second scope in the same
+    thread raises, as ``lstm_arena`` does.
+    """
+    if _helper.open:
+        raise RuntimeError("chunk_helper is already open in this thread")
+    _helper.open = True
+    try:
+        yield
+    finally:
+        conn, process = _helper.conn, _helper.process
+        _helper.open, _helper.conn, _helper.process = False, None, None
+        if conn is not None:
+            # a stop job: a copy of ``conn`` forked into another process
+            # would hold up the helper's EOF
+            with suppress(OSError):  # a helper that has died
+                conn.send(None)
+            conn.close()
+            process.join()
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _helper_conn(num_windows: int):
+    """The open scope's pipe to its helper, forked on first need; None runs serially."""
+    if not _helper.open or num_windows <= CHUNK_WINDOWS:
+        return None
+    if _helper.conn is None:
+        import multiprocessing  # here, not at the top: 10 ms that most imports never need
+
+        if _cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods():
+            return None
+        context = multiprocessing.get_context("fork")
+        conn, helper_end = context.Pipe()
+        process = context.Process(target=_serve, args=(helper_end, conn), daemon=True,
+                                  name="tracefill-chunk-helper")
+        process.start()
+        helper_end.close()  # else a dead helper would leave the pipe open
+        _helper.conn, _helper.process = conn, process
+    return _helper.conn
+
+
+def _attempt(job: tuple):
+    """``_chunk(*job)``, or the exception it raised."""
+    try:
+        return _chunk(*job)
+    except Exception as exc:
+        return exc
+
+
+def _serve(conn, caller_end) -> None:
+    """The helper's loop: run each job that arrives on ``conn`` and send back its outcome.
+
+    A reader thread takes the jobs off the pipe as they arrive. The caller
+    sends the next job before it reads the last reply, so if this loop
+    read only between its own sends, a job and a reply each larger than
+    the pipe's buffer would block both sides for good (hidden 96 did).
+    A chunk's exception is sent back as its outcome. The loop ends at the
+    stop job None, or at EOF when the caller has died. SIGINT is ignored: an
+    interrupt is the caller's to handle.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    caller_end.close()  # else the caller's death would leave the pipe open
+    jobs = queue.SimpleQueue()
+    threading.Thread(target=_read_jobs, args=(conn, jobs), daemon=True).start()
+    for job in iter(jobs.get, None):
+        try:
+            conn.send(_attempt(job))
+        except OSError:  # the caller closed its end
+            return
+
+
+def _read_jobs(conn, jobs: queue.SimpleQueue) -> None:
+    """Put each job from ``conn`` on ``jobs``, then None at EOF."""
+    try:
+        while True:
+            jobs.put(conn.recv())
+    except (EOFError, OSError):
+        jobs.put(None)
+
+
+def _send(conn, job: tuple) -> None:
+    try:
+        conn.send(job)
+    except OSError as exc:
+        raise RuntimeError("the chunk helper died") from exc
+
+
+def _receive(conn):
+    """The helper's next outcome; RuntimeError if the helper has died."""
+    try:
+        return conn.recv()
+    except (EOFError, OSError) as exc:
+        raise RuntimeError("the chunk helper died") from exc
+
+
+def _unwrap(rows: slice, outcome):
+    if isinstance(outcome, Exception):
+        raise outcome
+    return (rows, *outcome)
+
+
+def _paired(conn, jobs):
+    """``(rows, value, part)`` of each chunk, in chunk order, sharing pairs with the helper.
+
+    The helper runs the first chunk of every pair and the caller the
+    second. The helper's next job goes out before the caller runs its own
+    chunk, so one job is always queued ahead and the helper never waits. A
+    chunk's exception is raised in chunk order, and every reply the helper
+    owes is received before this generator ends, early or not, so the pipe
+    is in step for the next call.
+    """
+    theirs, owed = next(jobs), 0
+    try:
+        _send(conn, theirs[1])
+        owed += 1
+        while theirs is not None:
+            mine, following = next(jobs, None), next(jobs, None)
+            if following is not None:
+                _send(conn, following[1])
+                owed += 1
+            own = None if mine is None else _attempt(mine[1])
+            owed -= 1
+            yield _unwrap(theirs[0], _receive(conn))
+            if mine is not None:
+                yield _unwrap(mine[0], own)
+            theirs = following
+    finally:
+        for _ in range(owed):
+            _receive(conn)
 
 
 def windowed_objective(params: AutoencoderParams, series: np.ndarray, seq_len: int,
@@ -236,46 +419,55 @@ def windowed_objective(params: AutoencoderParams, series: np.ndarray, seq_len: i
     passes run with numpy's overflow and invalid-value warnings off: a
     diverged run reports itself through that loss, not through a warning.
 
+    Inside ``chunk_helper()``, a call of at least two chunks shares them
+    with the scope's helper process, and the result is bit-identical to
+    the serial loop's. An exception raised in either process's chunk is
+    raised here with its type, in chunk order.
+
     Each chunk runs inside an ``autodiff.lstm_arena``, so the two ``lstm``
-    ops keep their residuals and scratch in this thread's buffers, sized by
-    the largest chunk so far and reused by every later chunk and call.
-    Each chunk's tape is gone before the next one records, as the arena
-    needs. With fresh working arrays per chunk, glibc handed the freed
-    memory back to the kernel and the next chunk faulted it in again:
-    690-850 minor faults per training update (T=2000, hidden 16, six
-    datasets) and 2700-5800 per 4-epoch T=8000 reconstruction. With the
-    arena, and the hidden states and their gradient in it since the dense
-    heads run inside the ``lstm`` ops, a training update takes a median of
-    0 faults (at most 12 in 60 updates), a T=2000 reconstruction epoch 0,
-    and a 4-epoch T=8000 reconstruction 229 (getrusage in benchmark
-    rounds, seed 7).
+    ops keep their residuals and scratch in the buffers of the running
+    thread (the helper has its own), sized by the largest chunk so far and
+    reused by every later chunk and call. Each chunk's tape is gone before
+    the next one records, as the arena needs. With fresh working arrays
+    per chunk, glibc handed the freed memory back to the kernel and the
+    next chunk faulted it in again: 690-850 minor faults per training
+    update (T=2000, hidden 16, six datasets) and 2700-5800 per 4-epoch
+    T=8000 reconstruction. With the arena, a serial training update takes
+    a median of 0 faults. The helper's fork adds about 1,950 faults to the
+    caller's first call in a scope: the caller's copy-on-write of the
+    pages it shares with the new process. A later call takes a median of
+    0-1. So a 30-update ``train`` call takes about 2,200 faults in the
+    caller (10-23 serially), a 20-epoch T=2000 reconstruction 2,130 (6-7),
+    and a 4-epoch T=8000 reconstruction 2,510-2,550 (200-300). The helper
+    takes about 4,100 faults of its own per scope (getrusage, suite seed
+    7, hidden 16, one BLAS thread).
     """
     if wrt not in ("params", "series", None):
         raise ValueError(f"wrt must be 'params', 'series' or None, got {wrt!r}")
     T = series.shape[0]
     if not 1 <= seq_len <= T:
         raise ValueError(f"seq_len {seq_len} invalid for {T} samples")
-    num_windows = T - seq_len + 1
-    weights = np.asarray(weights, dtype=np.float64)
+    jobs = _chunk_jobs(params, series, seq_len, np.asarray(weights, dtype=np.float64), wrt)
+    conn = _helper_conn(T - seq_len + 1)
+    if conn is None:
+        outcomes = ((rows, *_chunk(*job)) for rows, job in jobs)
+    else:
+        outcomes = _paired(conn, jobs)
     loss_sum = 0.0
     result = None if wrt == "params" else np.zeros(series.shape)
-    for w0 in range(0, num_windows, CHUNK_WINDOWS):
-        w1 = min(w0 + CHUNK_WINDOWS, num_windows)
-        rows = slice(w0, w1 + seq_len - 1)
-        with lstm_arena():
-            value, part = _chunk(params, series[rows], seq_len,
-                                 weights * ((w1 - w0) / num_windows), wrt)
-        loss_sum += value
-        if wrt is not None and not np.isfinite(loss_sum):
-            return loss_sum, None
-        if wrt == "params":
-            if result is None:
-                result = part
+    with closing(outcomes):
+        for rows, value, part in outcomes:
+            loss_sum += value
+            if wrt is not None and not np.isfinite(loss_sum):
+                return loss_sum, None
+            if wrt == "params":
+                if result is None:
+                    result = part
+                else:
+                    for name, grad in part.items():
+                        result[name] += grad
             else:
-                for name, grad in part.items():
-                    result[name] += grad
-        else:
-            result[rows] += part
+                result[rows] += part
     if wrt is None:
         result /= coverage_counts(T, seq_len)[:, None]
     return loss_sum, result

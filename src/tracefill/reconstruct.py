@@ -18,7 +18,8 @@ samples, so a sample covered by several windows accumulates all their
 contributions, across chunk boundaries too. The loss is one
 ``weighted_mse`` op per chunk, which never reads a missing column, and
 the missing columns of the series come from the estimates only, so the
-data's own values there cannot enter.
+data's own values there cannot enter. The epochs and the final pass run
+inside ``nn.chunk_helper``, so a second CPU takes every other chunk.
 
 One final forward-only pass on the optimized series gives both the final
 loss and the network's output windows merged by overlap mean, the
@@ -35,7 +36,7 @@ from typing import Mapping
 import numpy as np
 
 from . import preprocess
-from .nn import windowed_objective
+from .nn import chunk_helper, windowed_objective
 from .optim import Adam
 from .training import DivergenceError, TrainedModel
 
@@ -160,14 +161,14 @@ def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
             series[:, j] = current[m]
         return windowed_objective(model.params, series, model.net.seq_len, weights, wrt)
 
-    for epoch in range(epochs):
-        value, grad = objective(estimates, "series")
-        if not np.isfinite(value):
-            raise DivergenceError(f"non-finite loss in epoch {epoch}")
-        estimates = adam.step(estimates, {m: grad[:, j] for m, j in miss_idx.items()})
-        history.append(value)
-
-    final_loss, recon_scaled = objective(estimates, None)
+    with chunk_helper():
+        for epoch in range(epochs):
+            value, grad = objective(estimates, "series")
+            if not np.isfinite(value):
+                raise DivergenceError(f"non-finite loss in epoch {epoch}")
+            estimates = adam.step(estimates, {m: grad[:, j] for m, j in miss_idx.items()})
+            history.append(value)
+        final_loss, recon_scaled = objective(estimates, None)
     initial_loss = history[0] if history else final_loss
 
     def to_data(m: str, scaled: np.ndarray, what: str) -> np.ndarray:

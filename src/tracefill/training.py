@@ -5,8 +5,10 @@ shifts by one every epoch, so no dataset always has the last word on the
 weights). Per dataset, every stride-1 window contributes to one pooled
 mean-square reconstruction loss (``nn.windowed_objective`` with weight 1/n
 per feature, one tape per chunk of windows), whose parameter gradient
-drives exactly one Adam step. The min-max scaler is fitted once, up front,
-over all training sets. Evaluation runs the same loop forward only.
+drives exactly one Adam step. The epochs run inside ``nn.chunk_helper``,
+so a second CPU takes every other chunk. The min-max scaler is fitted
+once, up front, over all training sets. Evaluation runs the same loop
+forward only, serially: a T=2000 forward takes about as long as a fork.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import preprocess
-from .nn import AutoencoderParams, NetConfig, init_params, windowed_objective
+from .nn import AutoencoderParams, NetConfig, chunk_helper, init_params, windowed_objective
 from .optim import Adam
 
 
@@ -103,18 +105,19 @@ def train(datasets: Sequence[preprocess.TimeSeriesSet],
     history: list[HistoryRow] = []
     last_loss = [float("nan")] * len(datasets)
 
-    for epoch in range(config.epochs):
-        for idx in _epoch_order(epoch, len(datasets)):
-            value, grads = _dataset_loss_and_grads(params, scaled[idx],
-                                                   config.net.seq_len)
-            if not np.isfinite(value):
-                raise DivergenceError(
-                    f"non-finite loss on dataset {idx} in epoch {epoch}"
-                )
-            updated = adam.step(params.as_dict(), grads)
-            params = AutoencoderParams.from_dict(updated)
-            history.append(HistoryRow(epoch, idx, value))
-            last_loss[idx] = value
+    with chunk_helper():
+        for epoch in range(config.epochs):
+            for idx in _epoch_order(epoch, len(datasets)):
+                value, grads = _dataset_loss_and_grads(params, scaled[idx],
+                                                       config.net.seq_len)
+                if not np.isfinite(value):
+                    raise DivergenceError(
+                        f"non-finite loss on dataset {idx} in epoch {epoch}"
+                    )
+                updated = adam.step(params.as_dict(), grads)
+                params = AutoencoderParams.from_dict(updated)
+                history.append(HistoryRow(epoch, idx, value))
+                last_loss[idx] = value
 
     model = TrainedModel(
         params=params,

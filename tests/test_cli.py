@@ -1,14 +1,16 @@
 """Command-line pipeline tests at toy scale."""
 
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from tracefill import nn, training
 from tracefill.autodiff import Tape, registered_ops
 from tracefill.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from tracefill.fileio import read_dataset_csv, read_manifest, write_dataset_csv
-from tracefill.nn import NetConfig
+from tracefill.nn import AutoencoderParams, NetConfig
 from tracefill.preprocess import TimeSeriesSet
 from tracefill.training import TrainConfig, train
 
@@ -154,6 +156,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "non-finite loss on dataset" in err and "in epoch" in err
         assert "backward" not in err
+
+    def test_a_helper_chunk_error_exits_numerical(self, pipeline, tmp_path, monkeypatch,
+                                                 capsys):
+        # 78 windows in chunks of 16: the helper runs the first chunk, and
+        # the NonFiniteError of its NaN leaf comes back through the pipe
+        _, data_dir, *_ = pipeline
+        monkeypatch.setattr(nn, "CHUNK_WINDOWS", 16)
+        monkeypatch.setattr(training, "init_params", lambda net, seed: AutoencoderParams(
+            {k: v * np.nan for k, v in nn.init_params(net, seed).items()}))
+        code = main(["train", "--data", str(data_dir), "--out", str(tmp_path / "m.json"),
+                     "--epochs", "1", "--hidden", "4"])
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure: leaf" in capsys.readouterr().err
+        assert not multiprocessing.active_children()
 
     def test_missing_data_dir_fails_validation(self, tmp_path):
         assert (

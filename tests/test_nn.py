@@ -1,12 +1,20 @@
 """LSTM autoencoder tests: cell algebra, initialization, shapes, gradients."""
 
+import contextlib
 import math
+import multiprocessing
+import os
+from pathlib import Path
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from tracefill import autodiff, nn
+from tracefill import autodiff, nn, training
 from tracefill.autodiff import Tape, grad_check
 from tracefill.nn import (
     GATE_ORDER,
@@ -16,7 +24,6 @@ from tracefill.nn import (
     init_params,
     lift_params,
     param_shapes,
-    windowed_forward,
     windowed_loss,
     windowed_objective,
 )
@@ -25,7 +32,8 @@ from tracefill.preprocess import coverage_counts, overlap_mean_values, window_su
 
 def forward_window(tape, net, window):
     """Forward one [seq_len, n] window as a batch of one; [seq_len, n] out."""
-    return windowed_forward(tape, net, window, window.shape[0])[1]
+    steps = window.shape[0]
+    return forward_steps(tape, net, tape.windows(window, steps), steps)
 
 
 def zero_params(config: NetConfig) -> AutoencoderParams:
@@ -349,20 +357,28 @@ class TestWindowedObjective:
             windowed_objective(params, series[:2], 3, self.WEIGHTS)
 
     def test_memory_is_flat_in_series_length(self):
+        self.assert_flat_memory(contextlib.nullcontext)
+
+    def test_memory_is_flat_inside_the_helper_scope(self):
+        # the same bound, with the helper's fork in the 2k call
+        self.assert_flat_memory(nn.chunk_helper)
+
+    def assert_flat_memory(self, scope):
         # the tracemalloc peak of one reconstruction objective at 20k and
         # 200k samples stays within 1.2x the 2k peak, plus the [T, n]
         # gradient the loop returns
         params = init_params(NetConfig(n_features=4, seq_len=3, lstm_hidden=4,
                                        latent_dim=2), seed=0)
         peaks = {}
-        for T in (2_000, 20_000, 200_000):
-            series = np.random.default_rng(0).uniform(0.0, 1.0, (T, 4))
-            tracemalloc.start()
-            try:
-                windowed_objective(params, series, 3, self.WEIGHTS, "series")
-                peaks[T] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        with scope():
+            for T in (2_000, 20_000, 200_000):
+                series = np.random.default_rng(0).uniform(0.0, 1.0, (T, 4))
+                tracemalloc.start()
+                try:
+                    windowed_objective(params, series, 3, self.WEIGHTS, "series")
+                    peaks[T] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
         for T in (20_000, 200_000):
             assert peaks[T] <= 1.2 * peaks[2_000] + T * 4 * 8, peaks
 
@@ -463,3 +479,188 @@ class TestLSTMArena:
         for first, dec in zip(saved_a[:5], saved_dec[:5], strict=True):
             assert not np.shares_memory(first, dec)
         assert not np.shares_memory(enc_a, enc_b) and not np.shares_memory(dec_a, dec_b)
+
+
+needs_two_cpus = pytest.mark.skipif(
+    nn._cpus() < 2 or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the chunk helper needs fork and a second CPU")
+
+
+def assert_same_bits(got, want):
+    assert got[0] == want[0]
+    for got_array, want_array in zip(arrays(got[1]), arrays(want[1]), strict=True):
+        np.testing.assert_array_equal(got_array, want_array)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the block if it runs longer than ``seconds``."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still blocked after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def helper_pid_in_errors(monkeypatch):
+    """Make every chunk's NonFiniteError name the process that ran it."""
+    chunk = nn._chunk
+
+    def tagged(*job):
+        try:
+            return chunk(*job)
+        except autodiff.NonFiniteError as exc:
+            raise autodiff.NonFiniteError(f"{exc} in pid {os.getpid()}") from None
+
+    monkeypatch.setattr(nn, "_chunk", tagged)
+
+
+@needs_two_cpus
+class TestChunkHelper:
+    """``windowed_objective`` inside ``chunk_helper`` against the serial loop."""
+
+    NET = TestWindowedObjective.NET
+    WEIGHTS = TestWindowedObjective.WEIGHTS
+    setup = TestWindowedObjective.setup
+
+    @pytest.mark.parametrize("T,chunk", [(2000, 512), (40, 16)])
+    @pytest.mark.parametrize("wrt", ["params", "series", None])
+    def test_bit_identical_to_the_serial_loop(self, monkeypatch, T, chunk, wrt):
+        # 40 samples in chunks of 16: three chunks, the last one short and
+        # the helper's
+        monkeypatch.setattr(nn, "CHUNK_WINDOWS", chunk)
+        params, series = self.setup(T)
+        serial = windowed_objective(params, series, 3, self.WEIGHTS, wrt)
+        with nn.chunk_helper():
+            for _ in range(2):  # the call that forks, and a warm one
+                assert_same_bits(windowed_objective(params, series, 3, self.WEIGHTS, wrt),
+                                 serial)
+            assert nn._helper.process.is_alive()
+
+    def test_helper_chunk_error_is_raised_with_its_type(self, monkeypatch):
+        helper_pid_in_errors(monkeypatch)
+        params, series = self.setup(2000)
+        nan = AutoencoderParams.from_dict({k: v * np.nan for k, v in params.items()})
+        serial = windowed_objective(params, series, 3, self.WEIGHTS, "params")
+        with nn.chunk_helper():
+            with pytest.raises(autodiff.NonFiniteError) as info:
+                windowed_objective(nan, series, 3, self.WEIGHTS, "params")
+            assert f"in pid {nn._helper.process.pid}" in str(info.value)
+            assert_same_bits(windowed_objective(params, series, 3, self.WEIGHTS, "params"),
+                             serial)
+
+    @pytest.mark.parametrize("end", ["own chunk raises", "loss is not finite"])
+    def test_an_early_end_leaves_the_pipe_in_step(self, monkeypatch, end):
+        # the helper has the third chunk queued when the call ends at the
+        # second; a stale reply would be read as the next call's first
+        params, series = self.setup(2000)
+        serial = windowed_objective(params, series, 3, self.WEIGHTS, "series")
+        with nn.chunk_helper():
+            windowed_objective(params, series, 3, self.WEIGHTS, "series")  # forks
+            if end == "own chunk raises":
+                with monkeypatch.context() as patch:
+                    patch.setattr(nn, "_chunk", lambda *job: 1 / 0)
+                    with pytest.raises(ZeroDivisionError):
+                        windowed_objective(params, series, 3, self.WEIGHTS, "series")
+            else:
+                bad = series.copy()
+                bad[520] = 1e300  # the second chunk's loss overflows
+                loss, grad = windowed_objective(params, bad, 3, self.WEIGHTS, "series")
+                assert not np.isfinite(loss) and grad is None
+            assert_same_bits(windowed_objective(params, series, 3, self.WEIGHTS, "series"),
+                             serial)
+
+    def test_a_dead_helper_raises(self):
+        params, series = self.setup(2000)
+        with nn.chunk_helper():
+            windowed_objective(params, series, 3, self.WEIGHTS, "series")
+            process = nn._helper.process
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(5)
+            with deadline(10), pytest.raises(RuntimeError, match="chunk helper died"):
+                windowed_objective(params, series, 3, self.WEIGHTS, "series")
+
+    def test_a_job_and_a_reply_larger_than_the_pipe_buffer_pass(self):
+        # hidden 96: the parameters, their gradient and so each job and
+        # reply hold about 590 kB, more than a socket buffer
+        params = init_params(NetConfig(n_features=4, seq_len=3, lstm_hidden=96,
+                                       latent_dim=2), seed=1)
+        series = self.setup(2000)[1]
+        serial = windowed_objective(params, series, 3, self.WEIGHTS, "params")
+
+        with deadline(60), nn.chunk_helper():
+            got = windowed_objective(params, series, 3, self.WEIGHTS, "params")
+        assert_same_bits(got, serial)
+
+    def test_scope_exit_joins_the_helper_and_nesting_raises(self):
+        params, series = self.setup(2000)
+        with nn.chunk_helper():
+            windowed_objective(params, series, 3, self.WEIGHTS, None)
+            process = nn._helper.process
+            with pytest.raises(RuntimeError, match="already open"):
+                with nn.chunk_helper():
+                    pass
+            assert process.is_alive()
+        assert process.exitcode == 0 and nn._helper.process is None
+
+    def test_divergence_in_train_joins_the_helper(self, monkeypatch, toy_datasets):
+        # 38 windows in chunks of 16: each update forks on its first call
+        monkeypatch.setattr(nn, "CHUNK_WINDOWS", 16)
+        helpers = []
+        objective = training._dataset_loss_and_grads
+
+        def recording(*args):
+            helpers.append(nn._helper.process)
+            return objective(*args)
+
+        monkeypatch.setattr(training, "_dataset_loss_and_grads", recording)
+        config = training.TrainConfig(epochs=5, learning_rate=1e300, net=NetConfig(
+            n_features=4, seq_len=3, lstm_hidden=4, latent_dim=2))
+        with pytest.raises(training.DivergenceError):
+            training.train(toy_datasets, config)
+        helper = helpers[-1]
+        assert helper is not None and helper.exitcode == 0
+        assert not multiprocessing.active_children()
+
+    def test_the_helper_exits_when_its_caller_is_killed(self):
+        script = (
+            "import sys, time\n"
+            "import numpy as np\n"
+            "from tracefill import nn\n"
+            "params = nn.init_params(nn.NetConfig(lstm_hidden=4), seed=0)\n"
+            "series = np.random.default_rng(0).uniform(0.0, 1.0, (2000, 4))\n"
+            "with nn.chunk_helper():\n"
+            "    nn.windowed_objective(params, series, 3, np.ones(4), 'series')\n"
+            "    print(nn._helper.process.pid, flush=True)\n"
+            "    time.sleep(60)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(Path(nn.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+            if p))
+        caller = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                  stdout=subprocess.PIPE, text=True)
+        try:
+            pid = int(caller.stdout.readline())
+        finally:
+            caller.kill()
+            caller.wait(5)
+            caller.stdout.close()
+        deadline = time.monotonic() + 5.0
+        while alive(pid) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not alive(pid)
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` names a process that has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"

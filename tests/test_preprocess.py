@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tracefill.autodiff import Tape
-from tracefill.nn import NetConfig, init_params, lift_params, windowed_forward
+from tracefill.nn import NetConfig, forward_steps, init_params, lift_params
 from tracefill.preprocess import (
     ScalerParams,
     TimeSeriesSet,
@@ -173,7 +173,8 @@ class TestWindows:
         config = NetConfig(n_features=2, seq_len=3, lstm_hidden=3, latent_dim=1)
         tape = Tape()
         net = lift_params(tape, init_params(config, seed=0), requires_grad=False)
-        x, y = windowed_forward(tape, net, tape.leaf(values), 3)
+        x = tape.windows(tape.leaf(values), 3)
+        y = forward_steps(tape, net, x, 3)
         assert x.shape == y.shape == (12, 2)
         for t in range(3):
             np.testing.assert_array_equal(x.value[4 * t : 4 * (t + 1)], values[t : t + 4])
