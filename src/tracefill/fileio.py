@@ -31,6 +31,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _check_unique(path: str | Path, names: Sequence[str]) -> None:
+    repeated = [name for k, name in enumerate(names) if name in names[:k]]
+    if repeated:
+        raise FormatError(f"{path}: feature name {repeated[0]!r} repeats")
+
+
 def write_dataset_csv(path: str | Path, data: TimeSeriesSet) -> None:
     times = data.times()
     with open(path, "w", newline="") as fh:
@@ -54,6 +60,7 @@ def read_dataset_csv(path: str | Path) -> TimeSeriesSet:
         names = tuple(header[1:])
         if not names:
             raise FormatError(f"{path}: no feature columns")
+        _check_unique(path, names)
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
@@ -71,7 +78,7 @@ def read_dataset_csv(path: str | Path) -> TimeSeriesSet:
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         raise FormatError(
-            f"{path}:{row + 2}: column {header[col]!r} is {arr[row, col]!r}, "
+            f"{path}:{row + 2}: column {header[col]!r} is {_fmt(arr[row, col])}, "
             "values must be finite"
         )
     times, values = arr[:, 0], arr[:, 1:]
@@ -83,7 +90,7 @@ def read_dataset_csv(path: str | Path) -> TimeSeriesSet:
         worst = int(np.argmax(np.abs(gaps - dt)))
         raise FormatError(
             f"{path}: time column not equidistant near row {worst + 2} "
-            f"(gap {gaps[worst]!r} vs dt {dt!r})"
+            f"(gap {_fmt(gaps[worst])} vs dt {_fmt(dt)})"
         )
     return TimeSeriesSet(names, float(times[0]), float(dt), values)
 
@@ -183,6 +190,7 @@ def load_model(path: str | Path) -> TrainedModel:
             f"{path}: feature_names and scaler arrays need {net.n_features} "
             f"entries each (net.n_features)"
         )
+    _check_unique(path, names)
     for name, shape in param_shapes(net).items():
         if name not in arrays:
             raise FormatError(f"{path}: parameter array {name} is missing")

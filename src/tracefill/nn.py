@@ -29,9 +29,10 @@ length.
 The chunks are independent until their losses and gradients are added,
 so inside ``chunk_helper()`` (which ``training.train`` and
 ``reconstruct.reconstruct`` open) a forked helper process runs the first
-chunk of every pair while the caller runs the second. The caller adds
-both in chunk order, the serial loop's left fold, so every result is
-bit-identical whether a run has one CPU or two.
+chunk of every pair while the caller runs the second. A call reaches the
+helper as one message, and the helper sends each outcome back as soon as
+it is done. The caller adds both in chunk order, the serial loop's left
+fold, so every result is bit-identical whether a run has one CPU or two.
 
 The parameters are one table of ten named arrays, spelled out only in
 ``param_shapes``: training writes it, the model file stores it and
@@ -45,7 +46,6 @@ from __future__ import annotations
 from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass
 import os
-import queue
 import signal
 import threading
 from typing import Sequence
@@ -222,20 +222,28 @@ def _chunk(params: AutoencoderParams, series: np.ndarray, seq_len: int,
         return value, {name: grads[v].T for name, v in net.items()}
 
 
-def _chunk_jobs(params: AutoencoderParams, series: np.ndarray, seq_len: int,
-                weights: np.ndarray, wrt: str | None):
-    """Each chunk's sample rows and ``_chunk`` arguments, in chunk order.
+def _outcomes(params: AutoencoderParams, series: np.ndarray, seq_len: int,
+              weights: np.ndarray, wrt: str | None, first: int = 0, step: int = 1):
+    """``(rows, outcome)`` of chunks ``first, first + step, ...``, in that order.
 
     Chunk ``[w0, w1)`` of the W windows covers samples
     ``[w0, w1 + seq_len - 1)`` and takes the weights times its share
-    ``(w1 - w0) / W``.
+    ``(w1 - w0) / W``. The outcome is ``_chunk``'s ``(value, part)`` or the
+    exception it raised. The generator stops after the first outcome that
+    ends the call: an exception, or a non-finite loss with no part.
     """
     num_windows = series.shape[0] - seq_len + 1
-    for w0 in range(0, num_windows, CHUNK_WINDOWS):
+    for w0 in range(first * CHUNK_WINDOWS, num_windows, step * CHUNK_WINDOWS):
         w1 = min(w0 + CHUNK_WINDOWS, num_windows)
         rows = slice(w0, w1 + seq_len - 1)
-        yield rows, (params, series[rows], seq_len,
-                     weights * ((w1 - w0) / num_windows), wrt)
+        try:
+            outcome = _chunk(params, series[rows], seq_len,
+                             weights * ((w1 - w0) / num_windows), wrt)
+        except Exception as exc:
+            outcome = exc
+        yield rows, outcome
+        if isinstance(outcome, Exception) or outcome[1] is None:
+            return
 
 
 class _Helper(threading.local):
@@ -256,13 +264,14 @@ def chunk_helper():
 
     The first call inside that has at least two chunks forks one helper
     (``multiprocessing``'s "fork" context and one ``Pipe``), and the later
-    calls reuse it. The helper runs the first chunk of every pair, the
-    caller the second, and the caller folds both in chunk order, so every
-    loss, gradient and output is bit-identical to the serial loop's. On one
-    CPU (``os.sched_getaffinity``), or where ``fork`` is unavailable, the
-    calls run serially. On exit the pipe is closed and the helper joined,
-    so no process outlives the scope. Opening a second scope in the same
-    thread raises, as ``lstm_arena`` does.
+    calls reuse it. Each call goes to the helper as one message. The helper
+    runs the first chunk of every pair, the caller the second, and the
+    caller folds both in chunk order, so every loss, gradient and output
+    is bit-identical to the serial loop's. On one CPU
+    (``os.sched_getaffinity``), or where ``fork`` is unavailable, the calls
+    run serially. On exit the pipe is closed and the helper joined, so no
+    process outlives the scope. Opening a second scope in the same thread
+    raises, as ``lstm_arena`` does.
     """
     if _helper.open:
         raise RuntimeError("chunk_helper is already open in this thread")
@@ -273,8 +282,8 @@ def chunk_helper():
         conn, process = _helper.conn, _helper.process
         _helper.open, _helper.conn, _helper.process = False, None, None
         if conn is not None:
-            # a stop job: a copy of ``conn`` forked into another process
-            # would hold up the helper's EOF
+            # the stop message: a copy of ``conn`` forked into another
+            # process would hold up the helper's EOF
             with suppress(OSError):  # a helper that has died
                 conn.send(None)
             conn.close()
@@ -307,94 +316,60 @@ def _helper_conn(num_windows: int):
     return _helper.conn
 
 
-def _attempt(job: tuple):
-    """``_chunk(*job)``, or the exception it raised."""
-    try:
-        return _chunk(*job)
-    except Exception as exc:
-        return exc
-
-
 def _serve(conn, caller_end) -> None:
-    """The helper's loop: run each job that arrives on ``conn`` and send back its outcome.
+    """The helper's loop: run its share of each call that arrives on ``conn``.
 
-    A reader thread takes the jobs off the pipe as they arrive. The caller
-    sends the next job before it reads the last reply, so if this loop
-    read only between its own sends, a job and a reply each larger than
-    the pipe's buffer would block both sides for good (hidden 96 did).
-    A chunk's exception is sent back as its outcome. The loop ends at the
-    stop job None, or at EOF when the caller has died. SIGINT is ignored: an
-    interrupt is the caller's to handle.
+    A call is one message of its arguments, with the series' shape in
+    place of the series, and then the series' bytes. The helper sends the
+    ``(rows, outcome)`` of chunks 0, 2, 4, ... as each is done, a chunk's
+    exception as its outcome, and then the end marker None. The loop ends
+    at the stop message None, or at EOF when the caller has died. SIGINT
+    is ignored: an interrupt is the caller's to handle.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     caller_end.close()  # else the caller's death would leave the pipe open
-    jobs = queue.SimpleQueue()
-    threading.Thread(target=_read_jobs, args=(conn, jobs), daemon=True).start()
-    for job in iter(jobs.get, None):
+    try:
+        for params, shape, seq_len, weights, wrt in iter(conn.recv, None):
+            series = np.frombuffer(conn.recv_bytes()).reshape(shape)
+            for outcome in _outcomes(params, series, seq_len, weights, wrt, 0, 2):
+                conn.send(outcome)
+            conn.send(None)
+    except (EOFError, OSError):  # the caller closed its end
+        return
+
+
+def _paired(conn, params: AutoencoderParams, series: np.ndarray, seq_len: int,
+            weights: np.ndarray, wrt: str | None):
+    """``_outcomes`` of every chunk, in chunk order, sharing pairs with the helper.
+
+    The call goes to the helper as one message and the series' raw bytes.
+    The helper runs chunks 0, 2, 4, ... and the caller 1, 3, 5, ..., each
+    while the other runs its own. The caller sends only while the helper
+    is idle, and during a call only the helper sends, so no message waits
+    on another, whatever its size. Every message of the call is received,
+    up to the end marker None, before this generator ends, early or not,
+    so the pipe is in step for the next call. When the caller's own chunk
+    ends the call, the helper still finishes its share: up to half a call
+    of wasted work, and only on a call that raises or diverges.
+    """
+    series = np.ascontiguousarray(series, dtype=np.float64)
+    try:
+        conn.send((params, series.shape, seq_len, weights, wrt))
+        conn.send_bytes(series)
+        theirs = ()
         try:
-            conn.send(_attempt(job))
-        except OSError:  # the caller closed its end
-            return
-
-
-def _read_jobs(conn, jobs: queue.SimpleQueue) -> None:
-    """Put each job from ``conn`` on ``jobs``, then None at EOF."""
-    try:
-        while True:
-            jobs.put(conn.recv())
-    except (EOFError, OSError):
-        jobs.put(None)
-
-
-def _send(conn, job: tuple) -> None:
-    try:
-        conn.send(job)
-    except OSError as exc:
-        raise RuntimeError("the chunk helper died") from exc
-
-
-def _receive(conn):
-    """The helper's next outcome; RuntimeError if the helper has died."""
-    try:
-        return conn.recv()
+            for mine in _outcomes(params, series, seq_len, weights, wrt, 1, 2):
+                theirs = conn.recv()
+                yield theirs
+                yield mine
+            theirs = conn.recv()
+            if theirs is not None:  # an odd chunk count: the last chunk is the helper's
+                yield theirs
+        finally:
+            while theirs is not None:
+                theirs = conn.recv()
     except (EOFError, OSError) as exc:
         raise RuntimeError("the chunk helper died") from exc
-
-
-def _unwrap(rows: slice, outcome):
-    if isinstance(outcome, Exception):
-        raise outcome
-    return (rows, *outcome)
-
-
-def _paired(conn, jobs):
-    """``(rows, value, part)`` of each chunk, in chunk order, sharing pairs with the helper.
-
-    The helper runs the first chunk of every pair and the caller the
-    second. The helper's next job goes out before the caller runs its own
-    chunk, so one job is always queued ahead and the helper never waits. A
-    chunk's exception is raised in chunk order, and every reply the helper
-    owes is received before this generator ends, early or not, so the pipe
-    is in step for the next call.
-    """
-    theirs, owed = next(jobs), 0
-    try:
-        _send(conn, theirs[1])
-        owed += 1
-        while theirs is not None:
-            mine, following = next(jobs, None), next(jobs, None)
-            if following is not None:
-                _send(conn, following[1])
-                owed += 1
-            own = None if mine is None else _attempt(mine[1])
-            owed -= 1
-            yield _unwrap(theirs[0], _receive(conn))
-            if mine is not None:
-                yield _unwrap(mine[0], own)
-            theirs = following
-    finally:
-        for _ in range(owed):
-            _receive(conn)
 
 
 def windowed_objective(params: AutoencoderParams, series: np.ndarray, seq_len: int,
@@ -436,27 +411,28 @@ def windowed_objective(params: AutoencoderParams, series: np.ndarray, seq_len: i
     a median of 0 faults. The helper's fork adds about 1,950 faults to the
     caller's first call in a scope: the caller's copy-on-write of the
     pages it shares with the new process. A later call takes a median of
-    0-1. So a 30-update ``train`` call takes about 2,200 faults in the
-    caller (10-23 serially), a 20-epoch T=2000 reconstruction 2,130 (6-7),
-    and a 4-epoch T=8000 reconstruction 2,510-2,550 (200-300). The helper
-    takes about 4,100 faults of its own per scope (getrusage, suite seed
-    7, hidden 16, one BLAS thread).
+    0-1. So a 30-update ``train`` call takes about 2,100 faults in the
+    caller (10-23 serially), a 20-epoch T=2000 reconstruction 2,170 (6-7),
+    and a 4-epoch T=8000 reconstruction 2,520-2,550 (200-300). The helper
+    takes 2,230-2,280 faults of its own in either T=2000 scope and
+    2,390-2,480 in the T=8000 one (getrusage, suite seed 7, hidden 16, one
+    BLAS thread).
     """
     if wrt not in ("params", "series", None):
         raise ValueError(f"wrt must be 'params', 'series' or None, got {wrt!r}")
     T = series.shape[0]
     if not 1 <= seq_len <= T:
         raise ValueError(f"seq_len {seq_len} invalid for {T} samples")
-    jobs = _chunk_jobs(params, series, seq_len, np.asarray(weights, dtype=np.float64), wrt)
+    args = (params, series, seq_len, np.asarray(weights, dtype=np.float64), wrt)
     conn = _helper_conn(T - seq_len + 1)
-    if conn is None:
-        outcomes = ((rows, *_chunk(*job)) for rows, job in jobs)
-    else:
-        outcomes = _paired(conn, jobs)
+    outcomes = _outcomes(*args) if conn is None else _paired(conn, *args)
     loss_sum = 0.0
     result = None if wrt == "params" else np.zeros(series.shape)
     with closing(outcomes):
-        for rows, value, part in outcomes:
+        for rows, outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+            value, part = outcome
             loss_sum += value
             if wrt is not None and not np.isfinite(loss_sum):
                 return loss_sum, None

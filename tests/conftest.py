@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,14 @@ from tracefill.circuit import CircuitParams, Dc, Sine, WaveformSpec, simulate
 from tracefill.nn import NetConfig
 from tracefill.preprocess import TimeSeriesSet
 from tracefill.training import TrainConfig, train
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_running():
+    """Fail the test after which a child process, such as a chunk helper, still runs."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"processes left running: {left}"
 
 
 @pytest.fixture

@@ -388,8 +388,11 @@ class TestReconstruct:
             (("scaler", "maxs", 1), -1e9, "scaler.maxs is below scaler.mins"),
             (("scaler", "constant", 2), True,
              "scaler.constant disagrees with scaler.mins == scaler.maxs"),
+            # u1,u2,u2,i2: reconstruct would leave one column of its series unset
+            (("feature_names", 1), "u2", "feature name 'u2' repeats"),
         ],
-        ids=["nan-param", "inf-param", "nan-mins", "maxs-below-mins", "constant-flag"],
+        ids=["nan-param", "inf-param", "nan-mins", "maxs-below-mins", "constant-flag",
+             "repeated-name"],
     )
     def test_corrupt_model_values_fail_validation(self, pipeline, tmp_path, capsys,
                                                   where, value, message):
@@ -491,8 +494,22 @@ class TestEvaluate:
             ]
         )
         assert code == EXIT_VALIDATION
-        assert f"{bad}:{lineno}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{bad}:{lineno}: " in err and f" is {cell}," in err
 
+    def test_uneven_time_grid_names_plain_floats(self, pipeline, tmp_path, capsys):
+        _, data_dir, _, out_dir, _ = pipeline
+        lines = (out_dir / "reconstruction_test_1_u2.csv").read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[0] = "1.0"
+        lines[3] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["evaluate", "--result", str(bad), "--truth",
+                     str(data_dir / "test_1.csv"), "--out", str(tmp_path / "e")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{bad}: time column not equidistant" in err and "np.float64(" not in err
 
     @pytest.mark.parametrize("change", ["dt x10", "t0 +5us", "50 samples"])
     def test_truth_sampled_differently_fails_validation(self, pipeline, tmp_path, capsys,

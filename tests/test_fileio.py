@@ -101,6 +101,12 @@ class TestDatasetCSV:
         with pytest.raises(FormatError):
             read_dataset_csv(path)
 
+    def test_repeated_column_is_rejected_with_the_path(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("time_s,u1,u1\n0.0,1.0,2.0\n1.0,3.0,4.0\n")
+        with pytest.raises(FormatError, match=f"{path}: feature name 'u1' repeats"):
+            read_dataset_csv(path)
+
     def test_missing_time_header_is_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,a\n0.0,1.0\n1.0,2.0\n")

@@ -494,17 +494,21 @@ def assert_same_bits(got, want):
 
 @contextlib.contextmanager
 def deadline(seconds: int):
-    """Raise TimeoutError in the block if it runs longer than ``seconds``."""
+    """Raise TimeoutError in the block if it runs longer than ``seconds``.
+
+    The timer fires again every second after that, so a ``finally`` that
+    blocks on the same pipe is interrupted too.
+    """
 
     def expired(signum, frame):
         raise TimeoutError(f"still blocked after {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, expired)
-    signal.alarm(seconds)
+    signal.setitimer(signal.ITIMER_REAL, seconds, 1.0)
     try:
         yield
     finally:
-        signal.alarm(0)
+        signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
 
 
@@ -555,10 +559,12 @@ class TestChunkHelper:
             assert_same_bits(windowed_objective(params, series, 3, self.WEIGHTS, "params"),
                              serial)
 
-    @pytest.mark.parametrize("end", ["own chunk raises", "loss is not finite"])
+    @pytest.mark.parametrize("end", ["own chunk raises", "loss is not finite",
+                                     "helper's loss is not finite"])
     def test_an_early_end_leaves_the_pipe_in_step(self, monkeypatch, end):
-        # the helper has the third chunk queued when the call ends at the
-        # second; a stale reply would be read as the next call's first
+        # an early end at the caller's chunk leaves the helper running its
+        # third chunk, and one at the helper's leaves its end marker in the
+        # pipe; a stale message would be read as the next call's first
         params, series = self.setup(2000)
         serial = windowed_objective(params, series, 3, self.WEIGHTS, "series")
         with nn.chunk_helper():
@@ -570,11 +576,55 @@ class TestChunkHelper:
                         windowed_objective(params, series, 3, self.WEIGHTS, "series")
             else:
                 bad = series.copy()
-                bad[520] = 1e300  # the second chunk's loss overflows
+                # the second chunk's loss overflows, or the first's, the helper's
+                bad[520 if end == "loss is not finite" else 10] = 1e300
                 loss, grad = windowed_objective(params, bad, 3, self.WEIGHTS, "series")
                 assert not np.isfinite(loss) and grad is None
             assert_same_bits(windowed_objective(params, series, 3, self.WEIGHTS, "series"),
                              serial)
+
+    @pytest.mark.parametrize("layout", ["Fortran order", "column stride", "float32"])
+    def test_any_series_layout_gives_the_serial_bits(self, layout):
+        # the series reaches the helper as raw float64 bytes in C order
+        params, series = self.setup(2000)
+        if layout == "Fortran order":
+            series = np.asfortranarray(series)
+        elif layout == "column stride":
+            wide = np.repeat(series, 2, axis=1)
+            wide[:, 1::2] = -1.0
+            series = wide[:, ::2]
+        else:
+            series = series.astype(np.float32)
+        serial = windowed_objective(params, series, 3, self.WEIGHTS, "series")
+        with deadline(30), nn.chunk_helper():
+            assert_same_bits(windowed_objective(params, series, 3, self.WEIGHTS, "series"),
+                             serial)
+
+    @pytest.mark.parametrize("end", ["chunk raises", "loss is not finite"])
+    def test_the_helper_stops_at_its_own_early_end(self, monkeypatch, tmp_path, end):
+        # four chunks; the call ends at the helper's first, so the helper
+        # never runs the third, and the caller runs only the second
+        log = tmp_path / "chunks.log"
+        chunk = nn._chunk
+
+        def logged(*job):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return chunk(*job)
+
+        monkeypatch.setattr(nn, "_chunk", logged)  # before the fork: both processes log
+        params, series = self.setup(2000)
+        with nn.chunk_helper():
+            if end == "chunk raises":
+                nan = AutoencoderParams.from_dict({k: v * np.nan for k, v in params.items()})
+                with pytest.raises(autodiff.NonFiniteError):
+                    windowed_objective(nan, series, 3, self.WEIGHTS, "params")
+            else:
+                series[10] = 1e300
+                loss, grad = windowed_objective(params, series, 3, self.WEIGHTS, "params")
+                assert not np.isfinite(loss) and grad is None
+            helper = nn._helper.process.pid
+        assert sorted(log.read_text().split()) == sorted([str(helper), str(os.getpid())])
 
     def test_a_dead_helper_raises(self):
         params, series = self.setup(2000)
