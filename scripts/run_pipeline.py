@@ -1,30 +1,23 @@
 #!/usr/bin/env python3
-"""End-to-end experiment: synthesize the circuit suite, train the
-autoencoder, then reconstruct each feature of the held-out set as if it
-had never been measured.
-
-Writes datasets, the trained model, reconstruction CSVs, and loss curves
-under --out, and prints a per-feature summary table. The defaults
-reproduce the documented reference run (suite seed 7, train seed 2,
-reduced 300-epoch profile) in a few minutes on one core.
+"""The reference run, one in-process ``tracefill`` subcommand per phase:
+simulate the suite, train, reconstruct each test-set channel alone and the
+--missing channels together, and evaluate every result. Prints each
+phase's wall and CPU time (this process plus its joined chunk helpers),
+each run's loss ratio and each column's rel RMSE, and writes the same
+records to <out>/run.json. The defaults are the documented reference run.
 """
 
 import argparse
+import csv
+import json
+import resource
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tracefill import fileio
-from tracefill.circuit import SUITE_PARAMS, generate_suite
-from tracefill.metrics import rmse_report
-from tracefill.nn import NetConfig
-from tracefill.preprocess import TimeSeriesSet
-from tracefill.reconstruct import ReconstructionSpec, reconstruct
-from tracefill.training import TrainConfig, train
+from tracefill import cli
 
 
 def parse_args() -> argparse.Namespace:
@@ -35,63 +28,77 @@ def parse_args() -> argparse.Namespace:
     parser.add_argument("--epochs", type=int, default=300,
                         help="training epochs (documented full profile: 1000)")
     parser.add_argument("--hidden", type=int, default=16)
-    parser.add_argument("--latent", type=int, default=2)
     parser.add_argument("--n-samples", type=int, default=2000)
     parser.add_argument("--recon-epochs", type=int, default=None,
-                        help="per-feature reconstruction epochs (default 300)")
+                        help="epochs of every reconstruction "
+                             "(default 300 for one channel, 3000 for several)")
+    parser.add_argument("--missing", default="u1,u2",
+                        help="comma-separated channels to reconstruct together")
     return parser.parse_args()
+
+
+def cpu_seconds() -> float:
+    """User plus system time of this process and of its joined children."""
+    usages = (resource.getrusage(resource.RUSAGE_SELF),
+              resource.getrusage(resource.RUSAGE_CHILDREN))
+    return sum(u.ru_utime + u.ru_stime for u in usages)
+
+
+def rows(path: Path) -> list[dict]:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def stem(missing: str) -> str:
+    """The name ``reconstruct`` gives the files of one run on the test set."""
+    return "_".join(["test_1", *(m.strip() for m in missing.split(","))])
 
 
 def main() -> int:
     args = parse_args()
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    data, model, recon = out / "data", out / "model.json", out / "recon"
+    phases = []
 
-    print(f"generating suite (seed {args.suite_seed}, {args.n_samples} samples)")
-    suite = generate_suite(args.suite_seed, SUITE_PARAMS, 1e-8, args.n_samples)
-    for entry in suite.entries:
-        fileio.write_dataset_csv(out / f"{entry.name}.csv", entry.data)
+    def phase(name: str, *argv: str) -> dict:
+        wall, cpu = time.perf_counter(), cpu_seconds()
+        code = cli.main(list(argv))
+        if code != cli.EXIT_OK:
+            raise SystemExit(f"phase {name!r} exited {code}")
+        phases.append({"phase": name, "wall_s": time.perf_counter() - wall,
+                       "cpu_s": cpu_seconds() - cpu})
+        return phases[-1]
 
-    net = NetConfig(
-        n_features=4, seq_len=3, lstm_hidden=args.hidden, latent_dim=args.latent
-    )
-    config = TrainConfig(epochs=args.epochs, seed=args.train_seed, net=net)
-    print(f"training {args.epochs} epochs on {len(suite.train)} datasets ...")
-    started = time.perf_counter()
-    model, history = train([e.data for e in suite.train], config)
-    print(f"  done in {time.perf_counter() - started:.1f}s, "
-          f"mean final loss {np.mean(model.final_losses):.3e}")
-    fileio.save_model(out / "model.json", model)
-    fileio.write_history_csv(out / "model.losses.csv", history)
+    phase("simulate", "simulate", "--seed", str(args.suite_seed),
+          "--n-samples", str(args.n_samples), "--out", str(data))
+    phase("train", "train", "--data", str(data), "--out", str(model),
+          "--epochs", str(args.epochs), "--hidden", str(args.hidden),
+          "--seed", str(args.train_seed))
+    runs = ["u1", "i1", "u2", "i2", args.missing]
+    epochs = [] if args.recon_epochs is None else ["--epochs", str(args.recon_epochs)]
+    for missing in runs:
+        record = phase(f"reconstruct {missing}", "reconstruct", "--model", str(model),
+                       "--data", str(data / "test_1.csv"), "--missing", missing,
+                       "--out", str(recon), *epochs)
+        losses = [float(r["loss"]) for r in rows(recon / f"loss_{stem(missing)}.csv")]
+        record["loss_ratio"] = losses[-1] / losses[0]
+    for missing in runs:
+        evaluated = out / "eval" / stem(missing)
+        record = phase(f"evaluate {missing}", "evaluate",
+                       "--result", str(recon / f"reconstruction_{stem(missing)}.csv"),
+                       "--truth", str(data / "test_1.csv"), "--out", str(evaluated))
+        record["rel_rmse"] = {r["column"]: float(r["rel_rmse"])
+                              for r in rows(evaluated / "report.csv")}
 
-    truth = suite.test.data
-    print(f"reconstructing each feature of {suite.test.name}")
-    print(f"{'feature':>8} {'loss ratio':>11} {'rel RMSE raw':>13} "
-          f"{'rel RMSE rec':>13} {'time':>6}")
-    for feature in truth.feature_names:
-        spec = ReconstructionSpec(missing=(feature,), epochs=args.recon_epochs)
-        started = time.perf_counter()
-        result = reconstruct(model, truth, spec)
-        elapsed = time.perf_counter() - started
-
-        ref = truth.column(feature)
-        rel_raw = rmse_report(feature, ref, result.x_miss[feature]).rel_rmse
-        rel_rec = rmse_report(feature, ref, result.x_hat_miss[feature]).rel_rmse
-        ratio = result.final_loss / result.initial_loss
-        print(f"{feature:>8} {ratio:>11.4f} {rel_raw:>13.3f} "
-              f"{rel_rec:>13.3f} {elapsed:>5.1f}s")
-
-        fileio.write_dataset_csv(out / f"reconstruction_{feature}.csv", TimeSeriesSet(
-            (f"{feature}_xmiss", f"{feature}_xhatmiss", f"{feature}_truth"),
-            truth.t0, truth.dt,
-            np.column_stack([result.x_miss[feature], result.x_hat_miss[feature], ref]),
-        ))
-        fileio.write_loss_curve_csv(
-            out / f"loss_{feature}.csv",
-            list(result.loss_history) + [result.final_loss],
-        )
-
-    print(f"artifacts in {out}")
+    (out / "run.json").write_text(json.dumps(
+        {"options": vars(args), "phases": phases}, indent=2) + "\n")
+    print(f"\n{'phase':<20} {'wall_s':>7} {'cpu_s':>7} {'loss ratio':>10}  rel RMSE of x_hat")
+    for p in phases:
+        ratio = f"{p['loss_ratio']:.4f}" if "loss_ratio" in p else ""
+        rel = " ".join(f"{c.removesuffix('_xhatmiss')} {v:.3f}"
+                       for c, v in p.get("rel_rmse", {}).items() if c.endswith("_xhatmiss"))
+        print(f"{p['phase']:<20} {p['wall_s']:>7.2f} {p['cpu_s']:>7.2f} {ratio:>10}  {rel}")
+    print(f"records: {out / 'run.json'}")
     return 0
 
 

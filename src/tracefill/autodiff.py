@@ -594,6 +594,8 @@ def run_op_checks(seed: int = 0, samples_per_op: int = 100) -> dict[str, float]:
     """
     from .rng import Xoshiro256
 
+    if samples_per_op < 1:
+        raise ValueError(f"samples_per_op must be at least 1, got {samples_per_op}")
     rng = Xoshiro256(seed)
     cases = _op_check_cases(rng)
     missing = set(_OPS) - {name for name, _, _ in cases}

@@ -63,6 +63,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     n_samples = args.n_samples if args.n_samples is not None else int(
         cfg.get("n_samples", 2000)
     )
+    if n_samples < 2:  # read_dataset_csv refuses a one-sample file
+        raise CliError(f"n_samples must be at least 2, got {n_samples}")
     # absent circuit section means the bundled-suite component values, not
     # the CircuitParams defaults; overriding any component goes through the
     # config's "circuit" table

@@ -125,6 +125,21 @@ class TestSimulate:
             == EXIT_VALIDATION
         )
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_one_sample_fails_validation_and_writes_nothing(self, tmp_path, capsys, how):
+        # read_dataset_csv refuses a one-sample file, so train could not
+        # read the suite back
+        out = tmp_path / "o"
+        if how == "flag":
+            argv = ["simulate", "--n-samples", "1", "--out", str(out)]
+        else:
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"n_samples": 1}))
+            argv = ["simulate", "--config", str(config), "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        assert "n_samples must be at least 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text", ["5", '{"circuit": [1]}', '{"circuit": {"bogus": 1}}']
     )
@@ -541,6 +556,14 @@ class TestGradcheck:
         assert "reduced loss" in out
         assert "end-to-end" in out
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_no_samples_fails_validation(self, capsys, samples):
+        # a sweep over no inputs checks nothing, so it may not print "ok"
+        assert main(["gradcheck", "--samples", samples]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert "samples_per_op must be at least 1" in captured.err
+        assert "ok" not in captured.out
 
 
 class TestParser:

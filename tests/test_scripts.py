@@ -1,44 +1,45 @@
-"""The experiment scripts run end to end at toy size and write their files."""
+"""scripts/run_pipeline.py runs every phase at toy size and records each one."""
 
+import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
-from tracefill.fileio import read_dataset_csv
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_pipeline.py"
+RUNS = ("u1", "i1", "u2", "i2", "u1,u2")
+STEMS = tuple("test_1_" + missing.replace(",", "_") for missing in RUNS)
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-FEATURES = ("u1", "i1", "u2", "i2")
 
-
-def run_script(name, *args, cwd):
+def test_reference_run_records_every_phase_in_run_json(tmp_path):
+    out = tmp_path / "run"
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / name), *args],
-        cwd=cwd, capture_output=True, text=True, timeout=300,
+        [sys.executable, str(SCRIPT), "--out", str(out), "--epochs", "1",
+         "--n-samples", "40", "--recon-epochs", "1", "--hidden", "4"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
 
-
-def test_pipeline_then_two_missing(tmp_path):
-    pipeline = tmp_path / "pipeline"
-    run_script("run_pipeline.py", "--out", str(pipeline), "--epochs", "1",
-               "--n-samples", "40", "--recon-epochs", "1", "--hidden", "4",
-               cwd=tmp_path)
-    expected = ["model.json", "model.losses.csv", "test_1.csv"]
-    expected += [f"train_{i}.csv" for i in range(1, 7)]
-    for feature in FEATURES:
-        expected += [f"reconstruction_{feature}.csv", f"loss_{feature}.csv"]
-    assert sorted(p.name for p in pipeline.iterdir()) == sorted(expected)
-    recon = read_dataset_csv(pipeline / "reconstruction_u2.csv")
-    assert recon.feature_names == ("u2_xmiss", "u2_xhatmiss", "u2_truth")
-    assert recon.n_samples == 40
-
-    two = tmp_path / "two"
-    run_script("two_missing.py", "--model", str(pipeline / "model.json"),
-               "--out", str(two), "--epochs", "1", cwd=tmp_path)
-    assert sorted(p.name for p in two.iterdir()) == [
-        "loss_u1_u2.csv", "reconstruction_u1_u2.csv",
+    assert sorted(p.name for p in out.iterdir()) == [
+        "data", "eval", "model.json", "model.losses.csv", "recon", "run.json",
     ]
-    both = read_dataset_csv(two / "reconstruction_u1_u2.csv")
-    assert both.feature_names == (
-        "u1_xmiss", "u1_xhatmiss", "u1_truth", "u2_xmiss", "u2_xhatmiss", "u2_truth",
-    )
+    assert sorted(p.name for p in (out / "data").iterdir()) == sorted(
+        ["manifest.json", "test_1.csv", *(f"train_{i}.csv" for i in range(1, 7))])
+    assert sorted(p.name for p in (out / "recon").iterdir()) == sorted(
+        f"{kind}_{stem}.csv" for stem in STEMS for kind in ("loss", "reconstruction"))
+    assert sorted(p.name for p in (out / "eval").iterdir()) == sorted(STEMS)
+
+    phases = json.loads((out / "run.json").read_text())["phases"]
+    assert [p["phase"] for p in phases] == [
+        "simulate", "train",
+        *(f"reconstruct {missing}" for missing in RUNS),
+        *(f"evaluate {missing}" for missing in RUNS),
+    ]
+    for p in phases:
+        assert all(math.isfinite(p[key]) and p[key] >= 0 for key in ("wall_s", "cpu_s")), p
+    for p in phases[2:7]:
+        assert math.isfinite(p["loss_ratio"]), p
+    for p, missing in zip(phases[7:], RUNS):
+        hats = {c: v for c, v in p["rel_rmse"].items() if c.endswith("_xhatmiss")}
+        assert sorted(hats) == sorted(f"{m}_xhatmiss" for m in missing.split(","))
+        assert all(math.isfinite(v) for v in hats.values()), p
