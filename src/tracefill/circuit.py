@@ -21,6 +21,7 @@ features per sample: u1, i1, u2, i2.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
@@ -120,16 +121,7 @@ class WaveformSpec:
 
 
 def term_to_dict(term: Term) -> dict:
-    if isinstance(term, Dc):
-        return {"kind": "dc", "level": term.level}
-    if isinstance(term, Sine):
-        return {"kind": "sine", "amplitude": term.amplitude,
-                "frequency": term.frequency, "phase": term.phase}
-    if isinstance(term, Trapezoid):
-        return {"kind": "trapezoid", "low": term.low, "high": term.high,
-                "rise": term.rise, "high_time": term.high_time,
-                "fall": term.fall, "period": term.period}
-    raise TypeError(f"unknown waveform term {term!r}")
+    return {"kind": type(term).__name__.lower(), **dataclasses.asdict(term)}
 
 
 def _derivatives(params: CircuitParams, u1: float, i1: float,

@@ -12,8 +12,7 @@ Exit codes: 0 success, 2 validation/usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuit, fileio, metrics, preprocess
-from .autodiff import NonFiniteError, ShapeError, Tape, grad_check, run_op_checks
+from .autodiff import NonFiniteError, Tape, grad_check, run_op_checks
 from .nn import NetConfig, init_params, lift_params, windowed_loss
 from .reconstruct import ReconstructionSpec, reconstruct
 from .rng import Xoshiro256
@@ -38,30 +37,12 @@ class CliError(ValueError):
     """User-facing validation problem; maps to exit code 2."""
 
 
-def _load_simulate_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise CliError(f"{path}: top level must be a JSON object, "
-                       f"got {type(cfg).__name__}")
-    known = {"seed", "dt", "n_samples", "circuit"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise CliError(f"{path}: unknown config keys {sorted(unknown)}")
-    return cfg
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_simulate_config(args.config)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    cfg = fileio.read_simulate_config(args.config) if args.config else {}
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     dt = float(cfg.get("dt", 1e-8))
-    n_samples = args.n_samples if args.n_samples is not None else int(
-        cfg.get("n_samples", 2000)
+    n_samples = args.n_samples if args.n_samples is not None else cfg.get(
+        "n_samples", 2000
     )
     if n_samples < 2:  # read_dataset_csv refuses a one-sample file
         raise CliError(f"n_samples must be at least 2, got {n_samples}")
@@ -74,7 +55,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             circuit.CircuitParams(**circuit_cfg) if circuit_cfg
             else circuit.SUITE_PARAMS
         )
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise CliError(f"{args.config}: bad circuit table: {exc}") from None
     suite = circuit.generate_suite(seed, params, dt, n_samples)
 
@@ -89,14 +70,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "role": entry.role,
             "waveform": [circuit.term_to_dict(t) for t in entry.waveform.terms],
         })
-    fileio.write_manifest(out / "manifest.json", {
+    fileio.write_json(out / "manifest.json", {
         "seed": seed,
         "dt": dt,
         "n_samples": n_samples,
-        "circuit": {
-            "r1": params.r1, "l": params.l, "c0": params.c0,
-            "v0": params.v0, "rload": params.rload,
-        },
+        "circuit": dataclasses.asdict(params),
         "datasets": entries,
     })
     print(f"wrote {len(entries)} datasets to {out}")
@@ -106,16 +84,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def _load_suite_datasets(data_dir: Path, role: str) -> list[preprocess.TimeSeriesSet]:
     manifest_path = data_dir / "manifest.json"
     if manifest_path.exists():
-        manifest = fileio.read_manifest(manifest_path)
+        manifest = fileio.read_json(manifest_path)
         try:
-            files = [d["file"] for d in manifest["datasets"] if d["role"] == role]
+            files = [data_dir / d["file"] for d in manifest["datasets"]
+                     if d["role"] == role]
         except (KeyError, TypeError) as exc:
             raise CliError(f"{manifest_path}: malformed manifest: {exc!r}") from None
     else:
-        files = sorted(p.name for p in data_dir.glob(f"{role}_*.csv"))
+        files = sorted(data_dir.glob(f"{role}_*.csv"))
     if not files:
         raise CliError(f"no {role} datasets found in {data_dir}")
-    return [fileio.read_dataset_csv(data_dir / f) for f in files]
+    return [fileio.read_dataset_csv(f) for f in files]
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -245,31 +224,26 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         ref_name = truth_name(column)
         if ref_name is None:
             continue
-        report = metrics.rmse_report(
+        rows.append((column, metrics.rmse_report(
             ref_name, truth.column(ref_name), result.column(column)
-        )
-        rows.append((column, ref_name, report))
+        )))
         freqs, mags = metrics.amplitude_spectrum(result.column(column), result.dt)
         fileio.write_spectrum_csv(out / f"spectrum_{column}.csv", freqs, mags)
-        freqs_t, mags_t = metrics.amplitude_spectrum(truth.column(ref_name), truth.dt)
-        fileio.write_spectrum_csv(out / f"spectrum_{column}_ref.csv", freqs_t, mags_t)
     if not rows:
         raise CliError(
             "no result column matches a truth feature "
             f"(result: {result.feature_names}, truth: {truth.feature_names})"
         )
+    # one reference spectrum per truth channel, however many columns match it
+    for ref_name in dict.fromkeys(rep.name for _, rep in rows):
+        freqs, mags = metrics.amplitude_spectrum(truth.column(ref_name), truth.dt)
+        fileio.write_spectrum_csv(out / f"spectrum_{ref_name}_ref.csv", freqs, mags)
 
     report_path = out / "report.csv"
-    with open(report_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["column", "truth_feature", "mse", "rmse", "rel_rmse"])
-        for column, ref_name, rep in rows:
-            writer.writerow(
-                [column, ref_name, repr(rep.mse), repr(rep.rmse), repr(rep.rel_rmse)]
-            )
-    for column, ref_name, rep in rows:
+    fileio.write_report_csv(report_path, rows)
+    for column, rep in rows:
         print(
-            f"{column} vs {ref_name}: rmse {rep.rmse:.4e} "
+            f"{column} vs {rep.name}: rmse {rep.rmse:.4e} "
             f"(relative {rep.rel_rmse:.3f})"
         )
     print(f"report: {report_path}")
@@ -384,10 +358,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, fileio.FormatError, ShapeError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    # CliError, FormatError and ShapeError are all ValueErrors
+    except (KeyError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NonFiniteError, DivergenceError, circuit.SimulationError) as exc:

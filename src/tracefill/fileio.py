@@ -1,19 +1,30 @@
-"""On-disk formats: dataset CSVs, the model JSON file, histories, manifests.
+"""On-disk formats: no other module knows how a file is laid out.
 
-Floats are written with ``repr``, the shortest representation that parses
-back to the identical double, so every file round-trips bit for bit and
-deterministic runs produce byte-identical outputs.
+CSV tables, each written by ``_write_csv``: datasets and reconstruction
+results (``time_s,<feature>...``), the training history
+(``epoch,dataset_index,loss``), loss curves (``epoch,loss``), the evaluation
+report (``column,truth_feature,mse,rmse,rel_rmse``) and spectra
+(``frequency_hz,magnitude``).
+
+JSON files, each read by ``read_json``: the model and the suite manifest,
+both written by ``write_json``, and the ``simulate --config`` file.
+
+Floats reach the writers as Python floats, whose ``str`` is ``repr``: the
+shortest text that parses back to the identical double, so every file
+round-trips bit for bit and deterministic runs produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .metrics import FeatureReport
 from .nn import AutoencoderParams, NetConfig, param_shapes
 from .preprocess import ScalerParams, TimeSeriesSet
 from .training import HistoryRow, TrainedModel
@@ -27,23 +38,22 @@ class FormatError(ValueError):
     """A file does not match the expected format."""
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _check_unique(path: str | Path, names: Sequence[str]) -> None:
     repeated = [name for k, name in enumerate(names) if name in names[:k]]
     if repeated:
         raise FormatError(f"{path}: feature name {repeated[0]!r} repeats")
 
 
-def write_dataset_csv(path: str | Path, data: TimeSeriesSet) -> None:
-    times = data.times()
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([TIME_COLUMN, *data.feature_names])
-        for k in range(data.n_samples):
-            writer.writerow([_fmt(times[k]), *(_fmt(v) for v in data.values[k])])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_dataset_csv(path: str | Path, data: TimeSeriesSet) -> None:
+    _write_csv(path, [TIME_COLUMN, *data.feature_names],
+               np.column_stack([data.times(), data.values]).tolist())
 
 
 def read_dataset_csv(path: str | Path) -> TimeSeriesSet:
@@ -78,7 +88,7 @@ def read_dataset_csv(path: str | Path) -> TimeSeriesSet:
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         raise FormatError(
-            f"{path}:{row + 2}: column {header[col]!r} is {_fmt(arr[row, col])}, "
+            f"{path}:{row + 2}: column {header[col]!r} is {float(arr[row, col])}, "
             "values must be finite"
         )
     times, values = arr[:, 0], arr[:, 1:]
@@ -90,25 +100,69 @@ def read_dataset_csv(path: str | Path) -> TimeSeriesSet:
         worst = int(np.argmax(np.abs(gaps - dt)))
         raise FormatError(
             f"{path}: time column not equidistant near row {worst + 2} "
-            f"(gap {_fmt(gaps[worst])} vs dt {_fmt(dt)})"
+            f"(gap {float(gaps[worst])} vs dt {float(dt)})"
         )
     return TimeSeriesSet(names, float(times[0]), float(dt), values)
 
 
 def write_history_csv(path: str | Path, rows: Iterable[HistoryRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "dataset_index", "loss"])
-        for row in rows:
-            writer.writerow([row.epoch, row.dataset_index, _fmt(row.loss)])
+    _write_csv(path, ["epoch", "dataset_index", "loss"],
+               ((row.epoch, row.dataset_index, float(row.loss)) for row in rows))
 
 
 def write_loss_curve_csv(path: str | Path, losses: Sequence[float]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(losses):
-            writer.writerow([epoch, _fmt(loss)])
+    _write_csv(path, ["epoch", "loss"], enumerate(map(float, losses)))
+
+
+def write_report_csv(path: str | Path,
+                     rows: Iterable[tuple[str, FeatureReport]]) -> None:
+    """One row per result column and the truth feature it was scored on."""
+    _write_csv(path, ["column", "truth_feature", "mse", "rmse", "rel_rmse"],
+               ((column, rep.name, rep.mse, rep.rmse, rep.rel_rmse)
+                for column, rep in rows))
+
+
+def write_spectrum_csv(path: str | Path, freqs: np.ndarray,
+                       mags: np.ndarray) -> None:
+    _write_csv(path, ["frequency_hz", "magnitude"],
+               np.column_stack([freqs, mags]).tolist())
+
+
+def read_json(path: str | Path) -> dict:
+    """A JSON file whose top level is an object."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise FormatError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: top level must be a JSON object, "
+                          f"got {type(doc).__name__}")
+    return doc
+
+
+def write_json(path: str | Path, doc: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def read_simulate_config(path: str | Path) -> dict:
+    """The ``simulate --config`` file: every key optional, none other allowed."""
+    cfg = read_json(path)
+    unknown = set(cfg) - {"seed", "dt", "n_samples", "circuit"}
+    if unknown:
+        raise FormatError(f"{path}: unknown config keys {sorted(unknown)}")
+    for key in ("seed", "n_samples"):  # type(True) is bool, not int
+        if key in cfg and type(cfg[key]) is not int:
+            raise FormatError(f"{path}: {key} must be a JSON integer, got {cfg[key]!r}")
+    dt = cfg.get("dt")
+    if "dt" in cfg and not (type(dt) in (int, float) and math.isfinite(dt) and dt > 0):
+        raise FormatError(f"{path}: dt must be a finite positive number, got {dt!r}")
+    if not isinstance(cfg.get("circuit", {}), dict):
+        raise FormatError(f"{path}: circuit must be a JSON object, "
+                          f"got {type(cfg['circuit']).__name__}")
+    return cfg
 
 
 def _array_to_json(arr: np.ndarray) -> dict:
@@ -145,20 +199,11 @@ def save_model(path: str | Path, model: TrainedModel) -> None:
             "final_losses": [float(v) for v in model.final_losses],
         },
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_model(path: str | Path) -> TrainedModel:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: top level must be a JSON object, "
-                          f"got {type(doc).__name__}")
+    doc = read_json(path)
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise FormatError(
@@ -210,26 +255,3 @@ def load_model(path: str | Path) -> TrainedModel:
             raise FormatError(f"{path}: {what} for feature {names[int(np.argmax(bad))]!r}")
     return TrainedModel(params=AutoencoderParams.from_dict(arrays), scaler=scaler,
                         net=net, feature_names=names, **meta)
-
-
-def write_manifest(path: str | Path, manifest: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
-
-
-def read_manifest(path: str | Path) -> dict:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from None
-
-
-def write_spectrum_csv(path: str | Path, freqs: np.ndarray,
-                       mags: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frequency_hz", "magnitude"])
-        for f, m in zip(freqs, mags):
-            writer.writerow([_fmt(f), _fmt(m)])

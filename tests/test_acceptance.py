@@ -70,7 +70,7 @@ def verdict(request):
 
 
 def run_pipeline(root: Path) -> dict:
-    """simulate + train + reconstruct each feature, via the real CLI."""
+    """simulate + train, then reconstruct and evaluate each feature, via the CLI."""
     started = time.perf_counter()
     data_dir = root / "data"
     model_path = root / "model.json"
@@ -105,6 +105,12 @@ def run_pipeline(root: Path) -> dict:
             == 0
         )
     elapsed = time.perf_counter() - started
+    # after the clock: criterion 9 compares the report and spectra as well
+    for feature in FEATURES:
+        result = recon_dir / f"reconstruction_test_1_{feature}.csv"
+        assert main(["evaluate", "--result", str(result),
+                     "--truth", str(data_dir / "test_1.csv"),
+                     "--out", str(root / "eval" / feature)]) == 0
 
     truth = read_dataset_csv(data_dir / "test_1.csv")
     per_feature = {}

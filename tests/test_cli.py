@@ -9,7 +9,7 @@ import pytest
 from tracefill import nn, training
 from tracefill.autodiff import Tape, registered_ops
 from tracefill.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
-from tracefill.fileio import read_dataset_csv, read_manifest, write_dataset_csv
+from tracefill.fileio import read_dataset_csv, read_json, write_dataset_csv
 from tracefill.nn import AutoencoderParams, NetConfig
 from tracefill.preprocess import TimeSeriesSet
 from tracefill.training import TrainConfig, train
@@ -93,7 +93,7 @@ class TestSimulate:
         assert names == [f"train_{i}.csv" for i in range(1, 7)] + ["test_1.csv"][
             :
         ] or len(names) == 7
-        manifest = read_manifest(data_dir / "manifest.json")
+        manifest = read_json(data_dir / "manifest.json")
         assert manifest["seed"] == 7
         assert manifest["n_samples"] == 80
         assert len(manifest["datasets"]) == 7
@@ -150,6 +150,29 @@ class TestSimulate:
         assert code == EXIT_VALIDATION
         assert str(config) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cfg,message",
+        [({"n_samples": "abc"}, "n_samples must be a JSON integer, got 'abc'"),
+         ({"n_samples": 80.0}, "n_samples must be a JSON integer, got 80.0"),
+         ({"seed": 1.7}, "seed must be a JSON integer, got 1.7"),
+         ({"seed": True}, "seed must be a JSON integer, got True"),
+         ({"dt": "fast"}, "dt must be a finite positive number, got 'fast'"),
+         ({"dt": 0}, "dt must be a finite positive number, got 0"),
+         ({"dt": float("inf")}, "dt must be a finite positive number, got inf"),
+         ({"circuit": {"r1": -1.0}}, "bad circuit table: r1 must be positive")],
+        ids=["n_samples-str", "n_samples-float", "seed-float", "seed-bool", "dt-str",
+             "dt-zero", "dt-inf", "circuit-value"],
+    )
+    def test_bad_config_value_names_file_and_key(self, tmp_path, capsys, cfg, message):
+        # int() and float() would accept some of these, or fail naming neither
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        code = main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert f"{config}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_model_and_history(self, pipeline):
@@ -202,7 +225,8 @@ class TestTrain:
             == EXIT_VALIDATION
         )
 
-    @pytest.mark.parametrize("text", ["[1]", '{"datasets": [{"file": "x.csv"}]}'])
+    @pytest.mark.parametrize("text", ["[1]", '{"datasets": [{"file": "x.csv"}]}',
+                                      '{"datasets": [{"file": 5, "role": "train"}]}'])
     def test_malformed_manifest_fails_validation(self, pipeline, tmp_path, capsys,
                                                  text):
         _, data_dir, *_ = pipeline
@@ -213,7 +237,11 @@ class TestTrain:
         code = main(["train", "--data", str(data), "--out", str(tmp_path / "m.json"),
                      "--epochs", "1"])
         assert code == EXIT_VALIDATION
-        assert "manifest.json" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "manifest.json" in err
+        if text == "[1]":
+            assert (f"{data / 'manifest.json'}: top level must be a JSON object, got list"
+                    in err)
 
     def test_manifest_that_is_not_json_names_the_file(self, pipeline, tmp_path, capsys):
         _, data_dir, *_ = pipeline
@@ -469,7 +497,25 @@ class TestEvaluate:
         assert len(report) == 3
         spectra = sorted(p.name for p in eval_dir.glob("spectrum_*.csv"))
         assert "spectrum_u2_xhatmiss.csv" in spectra
-        assert "spectrum_u2_xhatmiss_ref.csv" in spectra
+        assert "spectrum_u2_ref.csv" in spectra
+
+    def test_one_reference_spectrum_per_truth_channel(self, pipeline, tmp_path):
+        # u1 and u2 each match an _xmiss and an _xhatmiss column
+        _, data_dir, _, _, eval_dir = pipeline
+        truth = read_dataset_csv(data_dir / "test_1.csv")
+        cols = [truth.column(name) for name in ("u1", "u1", "u2", "u2")]
+        result = tmp_path / "result.csv"
+        write_dataset_csv(result, TimeSeriesSet(
+            ("u1_xmiss", "u1_xhatmiss", "u2_xmiss", "u2_xhatmiss"), truth.t0, truth.dt,
+            np.column_stack(cols)))
+        out = tmp_path / "e"
+        code = main(["evaluate", "--result", str(result), "--truth",
+                     str(data_dir / "test_1.csv"), "--out", str(out)])
+        assert code == EXIT_OK
+        refs = sorted(p.name for p in out.glob("spectrum_*_ref.csv"))
+        assert refs == ["spectrum_u1_ref.csv", "spectrum_u2_ref.csv"]
+        assert ((out / "spectrum_u2_ref.csv").read_bytes()
+                == (eval_dir / "spectrum_u2_ref.csv").read_bytes())
 
     def test_missing_truth_file_fails(self, pipeline, tmp_path):
         *_, out_dir, _ = pipeline

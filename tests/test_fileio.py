@@ -1,6 +1,9 @@
 """File format tests: CSV datasets, model JSON, manifests, spectra."""
 
+import ast
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,14 +13,16 @@ from tracefill.fileio import (
     FormatError,
     load_model,
     read_dataset_csv,
-    read_manifest,
+    read_json,
     save_model,
     write_dataset_csv,
     write_history_csv,
+    write_json,
     write_loss_curve_csv,
-    write_manifest,
+    write_report_csv,
     write_spectrum_csv,
 )
+from tracefill.metrics import FeatureReport
 from tracefill.nn import NetConfig, init_params
 from tracefill.preprocess import ScalerParams, TimeSeriesSet
 from tracefill.training import HistoryRow, TrainedModel
@@ -185,8 +190,31 @@ class TestAuxiliaryFiles:
     def test_manifest_round_trip(self, tmp_path):
         path = tmp_path / "manifest.json"
         manifest = {"seed": 7, "datasets": [{"file": "a.csv", "role": "train"}]}
-        write_manifest(path, manifest)
-        assert read_manifest(path) == manifest
+        write_json(path, manifest)
+        assert read_json(path) == manifest
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [("[1]", "top level must be a JSON object, got list"),
+         ("{not json", "not valid JSON"),
+         (b"\xff\xfe{}", "not valid JSON")],
+        ids=["list", "not-json", "not-utf8"],
+    )
+    def test_read_json_names_the_file(self, tmp_path, text, message):
+        path = tmp_path / "doc.json"
+        (path.write_bytes if isinstance(text, bytes) else path.write_text)(text)
+        with pytest.raises(FormatError, match="^" + re.escape(f"{path}: {message}")):
+            read_json(path)
+
+    def test_report_csv(self, tmp_path):
+        path = tmp_path / "report.csv"
+        write_report_csv(path, [("u2_xhatmiss", FeatureReport("u2", 0.25, 0.5, 0.1)),
+                                ("u2_xmiss", FeatureReport("u2", 4.0, 2.0, float("inf")))])
+        assert path.read_text().splitlines() == [
+            "column,truth_feature,mse,rmse,rel_rmse",
+            "u2_xhatmiss,u2,0.25,0.5,0.1",
+            "u2_xmiss,u2,4.0,2.0,inf",
+        ]
 
     def test_spectrum_csv(self, tmp_path):
         path = tmp_path / "spec.csv"
@@ -194,3 +222,21 @@ class TestAuxiliaryFiles:
         lines = path.read_text().splitlines()
         assert lines[0] == "frequency_hz,magnitude"
         assert len(lines) == 3
+
+
+def test_only_fileio_imports_csv_and_json():
+    # every on-disk layout lives in fileio; a second owner would drift from it
+    src = Path(__file__).resolve().parents[1] / "src" / "tracefill"
+    owners = set()
+    for module in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            owners.update((name.split(".")[0], module.name) for name in names)
+    assert {pair for pair in owners if pair[0] in ("csv", "json")} == {
+        ("csv", "fileio.py"), ("json", "fileio.py"),
+    }
