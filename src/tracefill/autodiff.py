@@ -2,9 +2,10 @@
 
 A :class:`Tape` records operations eagerly: every node caches its forward
 value, and :meth:`Tape.backward` walks the recording once in reverse to
-produce exact gradients of a scalar loss with respect to every leaf created
-with ``requires_grad=True``. When a leaf feeds several consumers its
-gradient contributions accumulate by summation.
+produce exact gradients of a scalar loss with respect to the leaves that
+call names, so one recording serves a sweep by any of its inputs. When a
+leaf feeds several consumers its gradient contributions accumulate by
+summation.
 
 Values are dense numpy float64 arrays, 1-D or 2-D (scalars are shape
 ``(1,)``). Shapes are validated per operation and mismatches raise
@@ -84,16 +85,15 @@ fresh ``[S*B, p]`` array everywhere, and outside an arena so is every
 other.
 
 Backward itself is not recorded, so higher-order derivatives are out of
-scope. Node values should be treated as read-only by callers. A tape is
-freed as soon as neither it nor any of its Vars is referenced: it holds
-its gradient leaves weakly, so it is never part of a reference cycle.
+scope. Node values should be treated as read-only by callers. A tape
+holds no Var, so it is never part of a reference cycle and is freed as
+soon as neither it nor any of its Vars is referenced.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -126,7 +126,7 @@ def as_tensor(value) -> Array:
 class Var:
     """Handle to one tape node. Compared by identity; create via Tape methods."""
 
-    __slots__ = ("tape", "id", "shape", "__weakref__")
+    __slots__ = ("tape", "id", "shape")
 
     def __init__(self, tape: "Tape", node_id: int, shape: tuple[int, ...]):
         self.tape = tape
@@ -149,15 +149,14 @@ class Var:
 
 
 class _Node:
-    __slots__ = ("op", "inputs", "kwargs", "value", "saved", "needs_grad")
+    __slots__ = ("op", "inputs", "kwargs", "value", "saved")
 
-    def __init__(self, op, inputs, kwargs, value, saved, needs_grad):
+    def __init__(self, op, inputs, kwargs, value, saved):
         self.op = op
         self.inputs = inputs
         self.kwargs = kwargs
         self.value = value
         self.saved = saved
-        self.needs_grad = needs_grad
 
 
 @dataclass(frozen=True)
@@ -425,25 +424,17 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[_Node] = []
-        # held weakly: a Var holds its tape, so a strong registry would make
-        # each tape a reference cycle that lives until a cyclic collection
-        self._grad_leaves: weakref.WeakValueDictionary[int, Var] = (
-            weakref.WeakValueDictionary())
 
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def leaf(self, value, requires_grad: bool = False) -> Var:
+    def leaf(self, value) -> Var:
         """Register an input tensor. Distinct calls make distinct leaves."""
         arr = as_tensor(value).copy()
         if not np.isfinite(arr).all():
             raise NonFiniteError("leaf: value contains NaN or Inf")
-        node = _Node("leaf", (), {}, arr, None, bool(requires_grad))
-        self._nodes.append(node)
-        var = Var(self, len(self._nodes) - 1, arr.shape)
-        if requires_grad:
-            self._grad_leaves[var.id] = var
-        return var
+        self._nodes.append(_Node("leaf", (), {}, arr, None))
+        return Var(self, len(self._nodes) - 1, arr.shape)
 
     def apply(self, op: str, *inputs: Var, **kwargs) -> Var:
         """Record one op; computes and caches its value immediately."""
@@ -455,9 +446,7 @@ class Tape:
                 raise ValueError(f"{op}: input {v!r} belongs to a different tape")
         values = [self._nodes[v.id].value for v in inputs]
         out, saved = rule.forward(values, kwargs)
-        needs = any(self._nodes[v.id].needs_grad for v in inputs)
-        node = _Node(op, tuple(v.id for v in inputs), kwargs, out, saved, needs)
-        self._nodes.append(node)
+        self._nodes.append(_Node(op, tuple(v.id for v in inputs), kwargs, out, saved))
         return Var(self, len(self._nodes) - 1, out.shape)
 
     # Conveniences, one per op.
@@ -477,35 +466,41 @@ class Tape:
         return self.apply("weighted_mse", target, output,
                           weights=tuple(float(w) for w in weights))
 
-    def backward(self, loss: Var) -> dict[Var, Array]:
-        """Gradients of a scalar loss for every requires_grad leaf still referenced.
+    def backward(self, loss: Var, wrt: Sequence[Var]) -> list[Array]:
+        """Gradients of a scalar loss, one fresh array per leaf of ``wrt``, in order.
 
-        Leaves that do not influence the loss get zero gradients. Non-leaf
-        gradients are discarded. Repeated calls recompute from scratch and
-        are bit-identical.
+        A leaf the loss does not reach gets zeros; a Var of another tape, or
+        not a leaf, raises ValueError. Derivative rules are asked only for
+        inputs that depend on a ``wrt`` leaf. Repeated calls recompute from
+        scratch and are bit-identical.
         """
         if loss.tape is not self:
             raise ValueError("backward: loss belongs to a different tape")
+        for v in wrt:
+            if v.tape is not self or self._nodes[v.id].op != "leaf":
+                raise ValueError(f"backward: {v!r} is not a leaf of this tape")
         loss_val = self._nodes[loss.id].value
         if loss_val.size != 1:
             raise ShapeError(f"backward: loss must be scalar, got shape {loss_val.shape}")
         if not np.isfinite(loss_val).all():
             raise NonFiniteError("backward: loss is not finite")
 
+        # reach[i]: node i depends on a wrt leaf; only leaves have no inputs
+        wanted = {v.id for v in wrt}
+        reach: list[bool] = []
+        for nid in range(loss.id + 1):
+            reach.append(nid in wanted or any(reach[i] for i in self._nodes[nid].inputs))
         grads: list[Array | None] = [None] * (loss.id + 1)
         grads[loss.id] = np.ones_like(loss_val)
         for nid in range(loss.id, -1, -1):
             g = grads[nid]
-            if g is None:
-                continue
             node = self._nodes[nid]
-            if node.op == "leaf" or not node.needs_grad:
+            if g is None or not reach[nid] or node.op == "leaf":
                 continue
-            rule = _OPS[node.op]
-            needs = [self._nodes[i].needs_grad for i in node.inputs]
+            needs = [reach[i] for i in node.inputs]
             values = [self._nodes[i].value for i in node.inputs]
-            contribs = rule.backward(g, node.value, node.saved, values, needs,
-                                     node.kwargs)
+            contribs = _OPS[node.op].backward(g, node.value, node.saved, values, needs,
+                                              node.kwargs)
             for iid, contrib in zip(node.inputs, contribs):
                 if contrib is None:
                     continue
@@ -513,30 +508,26 @@ class Tape:
                 # out-of-place accumulation: rules may return shared arrays
                 grads[iid] = contrib if prev is None else prev + contrib
 
-        out: dict[Var, Array] = {}
-        for lid, var in self._grad_leaves.items():
-            g = grads[lid] if lid <= loss.id else None
-            value = self._nodes[lid].value
-            out[var] = np.array(g, copy=True) if g is not None else np.zeros_like(value)
-        return out
+        return [np.zeros_like(v.value) if v.id > loss.id or grads[v.id] is None
+                else grads[v.id].copy() for v in wrt]
 
 
 def grad_check(f: Callable[[Tape, Var], Var], x, eps: float = 1e-6) -> float:
     """Compare analytic gradients of ``f`` against central finite differences.
 
     ``f`` receives a fresh tape plus a leaf holding ``x`` and must return a
-    scalar loss Var; it must be pure (no state between calls). Returns the
-    maximum over components of ``|analytic - numeric| /
-    max(|analytic|, |numeric|, 1e-12)``.
+    scalar loss Var; it must be pure (no state between calls). The analytic
+    gradient is ``backward(loss, [leaf])``, so every other leaf ``f``
+    records is a constant. Returns the maximum over components of
+    ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-12)``.
     """
     if not 1e-8 <= eps <= 1e-4:
         raise ValueError(f"grad_check: eps {eps} outside [1e-8, 1e-4]")
     x = as_tensor(x)
 
     tape = Tape()
-    var = tape.leaf(x, requires_grad=True)
-    loss = f(tape, var)
-    analytic = tape.backward(loss)[var]
+    var = tape.leaf(x)
+    (analytic,) = tape.backward(f(tape, var), [var])
 
     def loss_at(arr: Array) -> float:
         t = Tape()

@@ -268,7 +268,7 @@ def end_to_end_gradcheck(seed: int = 0, n_samples: int = 12) -> float:
     weights = (1.5, 0.0, 0.5, 2.0)
 
     def f(tape: Tape, x):
-        net = lift_params(tape, params, requires_grad=False)
+        net = lift_params(tape, params)
         return windowed_loss(tape, net, x, net_cfg.seq_len, weights)[0]
 
     return grad_check(f, series, eps=1e-5)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -177,12 +178,7 @@ def _array_from_json(obj: dict) -> np.ndarray:
 def save_model(path: str | Path, model: TrainedModel) -> None:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "net": {
-            "n_features": model.net.n_features,
-            "seq_len": model.net.seq_len,
-            "lstm_hidden": model.net.lstm_hidden,
-            "latent_dim": model.net.latent_dim,
-        },
+        "net": asdict(model.net),
         "feature_names": list(model.feature_names),
         "scaler": {
             "mins": [float(v) for v in model.scaler.mins],
@@ -210,9 +206,17 @@ def load_model(path: str | Path) -> TrainedModel:
             f"{path}: format_version {version!r} unsupported "
             f"(expected {MODEL_FORMAT_VERSION})"
         )
+    net_doc, names = doc.get("net"), doc.get("feature_names")
+    for key in (field.name for field in fields(NetConfig)):
+        # type(True) is bool, not int; a net that is no object fails below
+        if isinstance(net_doc, dict) and type(net_doc.get(key)) is not int:
+            raise FormatError(f"{path}: net.{key} must be a JSON integer, "
+                              f"got {net_doc.get(key)!r}")
+    if type(names) is not list or any(type(name) is not str for name in names):
+        raise FormatError(f"{path}: feature_names must be a list of strings, got {names!r}")
     try:
-        net = NetConfig(**doc["net"])
-        names = tuple(doc["feature_names"])
+        net = NetConfig(**net_doc)
+        names = tuple(names)
         scaler = ScalerParams(
             feature_names=names,
             mins=np.array(doc["scaler"]["mins"], dtype=np.float64),

@@ -37,8 +37,10 @@ fold, so every result is bit-identical whether a run has one CPU or two.
 The parameters are one table of ten named arrays, spelled out only in
 ``param_shapes``: training writes it, the model file stores it and
 reconstruction reads it frozen. ``lift_params`` puts each array on a tape
-once, matrices transposed to the ``[in, out]`` layout the forward pass
-multiplies by, and the layers look their weights up by name.
+once as a plain leaf, matrices transposed to the ``[in, out]`` layout the
+forward pass multiplies by, and the layers look their weights up by name.
+A training chunk's backward names those ten leaves, a reconstruction's the
+series leaf.
 """
 
 from __future__ import annotations
@@ -143,17 +145,15 @@ def init_params(config: NetConfig, seed: int) -> AutoencoderParams:
     )
 
 
-def lift_params(tape: Tape, params: AutoencoderParams,
-                requires_grad: bool) -> dict[str, Var]:
+def lift_params(tape: Tape, params: AutoencoderParams) -> dict[str, Var]:
     """Register every parameter array as one leaf of ``tape``, keyed as ``params``.
 
     Matrices are lifted transposed, ``[in, out]``, the layout the forward
     pass multiplies by, so a matrix leaf's gradient is the transpose of
-    the storage-layout gradient. ``requires_grad=False`` freezes them:
-    backward never touches the parameter side of the graph.
+    the storage-layout gradient. The leaves are frozen unless a backward
+    names them in its ``wrt``.
     """
-    return {name: tape.leaf(arr.T, requires_grad=requires_grad)
-            for name, arr in params.items()}
+    return {name: tape.leaf(arr.T) for name, arr in params.items()}
 
 
 def forward_steps(tape: Tape, net: dict[str, Var], x: Var, steps: int) -> Var:
@@ -205,8 +205,8 @@ def _chunk(params: AutoencoderParams, series: np.ndarray, seq_len: int,
     """
     with lstm_arena():
         tape = Tape()
-        net = lift_params(tape, params, requires_grad=wrt == "params")
-        leaf = tape.leaf(series, requires_grad=wrt == "series")
+        net = lift_params(tape, params)
+        leaf = tape.leaf(series)
         # a diverged run overflows here; the caller checks the loss for it
         with np.errstate(over="ignore", invalid="ignore"):
             loss, y = windowed_loss(tape, net, leaf, seq_len, weights)
@@ -215,11 +215,11 @@ def _chunk(params: AutoencoderParams, series: np.ndarray, seq_len: int,
             return value, window_sum(y.value, seq_len)
         if not np.isfinite(value):
             return value, None
-        grads = tape.backward(loss)
         if wrt == "series":
-            return value, grads[leaf]
+            return value, tape.backward(loss, [leaf])[0]
         # matrices were lifted transposed; .T returns them in storage layout
-        return value, {name: grads[v].T for name, v in net.items()}
+        grads = tape.backward(loss, list(net.values()))
+        return value, {name: grad.T for name, grad in zip(net, grads)}
 
 
 def _outcomes(params: AutoencoderParams, series: np.ndarray, seq_len: int,

@@ -23,12 +23,11 @@ def mse(tape: Tape, a: Var, b: Var) -> Var:
     return reduced_loss(tape, a, b, np.full(a.shape[-1], 1.0 / a.shape[-1]))
 
 
-def reduced_loss(tape: Tape, target: Var, output: Var,
-                 weights: Sequence[float] | None = None) -> Var:
+def reduced_loss(tape: Tape, target: Var, output: Var, weights: Sequence[float]) -> Var:
     """Weighted sum of per-column mean-square errors of two [M, n] tensors.
 
-    ``weights`` holds one finite, non-negative entry per column (default 1
-    each), at least one of them positive. Records one ``weighted_mse`` op.
+    ``weights`` holds one finite, non-negative entry per column, at least
+    one of them positive. Records one ``weighted_mse`` op.
     """
     if len(target.shape) != 2 or target.shape != output.shape:
         raise ValueError(
@@ -36,7 +35,7 @@ def reduced_loss(tape: Tape, target: Var, output: Var,
             f"and {output.shape}"
         )
     n = target.shape[1]
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise ValueError(f"{w.size} weights for {n} columns")
     if not (np.isfinite(w).all() and (w >= 0).all()):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from tracefill import autodiff
 from tracefill.autodiff import (
     NonFiniteError,
     ShapeError,
@@ -24,6 +25,7 @@ from tracefill.autodiff import (
     registered_ops,
     run_op_checks,
 )
+from tracefill.nn import NetConfig, init_params, lift_params, windowed_loss
 
 EXPECTED_OPS = {"lstm", "windows", "weighted_mse", "sum"}
 
@@ -34,17 +36,15 @@ def grads_of(build):
     """Run build(tape) -> (loss, leaves...) and return leaf gradients."""
     tape = Tape()
     loss, *leaves = build(tape)
-    grads = tape.backward(loss)
-    return [grads[leaf] for leaf in leaves]
+    return tape.backward(loss, leaves)
 
 
-def zero_lstm(tape, x, h, b_head, requires_grad=False):
+def zero_lstm(tape, x, h, b_head):
     """The six inputs of an ``lstm`` whose four weight leaves (made here) are
     all 0, so every hidden state is exactly 0 (gates 0.5, candidate 0) and
     the output is ``b_head`` in every row, squashed or not."""
     shapes = ((x.shape[1], 4 * h), (h, 4 * h), (4 * h,), (h, b_head.shape[0]))
-    return [x, *(tape.leaf(np.zeros(s), requires_grad=requires_grad) for s in shapes),
-            b_head]
+    return [x, *(tape.leaf(np.zeros(s)) for s in shapes), b_head]
 
 
 class TestOperatorSet:
@@ -74,7 +74,7 @@ class TestHandDerivedGradients:
                   np.arange(h * p, dtype=float).reshape(h, p), np.full(p, -1.0)]
 
         def build(tape):
-            leaves = [tape.leaf(v, requires_grad=True) for v in inputs]
+            leaves = [tape.leaf(v) for v in inputs]
             return tape.sum(tape.lstm(*leaves, steps=2, squash=False)), *leaves
 
         gx, gwx, gwh, gbias, gw_head, gb_head = grads_of(build)
@@ -86,18 +86,18 @@ class TestHandDerivedGradients:
     def test_tanh_at_zero_has_unit_slope(self):
         # the squashed head of an all-zero lstm is tanh(0 + b_head) = tanh(0)
         tape = Tape()
-        b_head = tape.leaf([0.0], requires_grad=True)
+        b_head = tape.leaf([0.0])
         x = tape.leaf(np.ones((1, 2)))
         out = tape.lstm(*zero_lstm(tape, x, 3, b_head), steps=1, squash=True)
-        grads = tape.backward(tape.sum(out))
-        np.testing.assert_array_equal(grads[b_head], [1.0])
+        (grad,) = tape.backward(tape.sum(out), [b_head])
+        np.testing.assert_array_equal(grad, [1.0])
 
     def test_weighted_mse_value_and_gradient(self):
         # columns: mean sq 2.5 and 4; loss 0.5 * 2.5 + 0.25 * 4 = 2.25;
         # d/d_out = 2 w (out - target) / rows
         def build(tape):
-            t = tape.leaf([[0.0, 1.0], [1.0, 0.0]], requires_grad=True)
-            o = tape.leaf([[1.0, 3.0], [3.0, 2.0]], requires_grad=True)
+            t = tape.leaf([[0.0, 1.0], [1.0, 0.0]])
+            o = tape.leaf([[1.0, 3.0], [3.0, 2.0]])
             return tape.weighted_mse(t, o, (0.5, 0.25)), t, o
 
         tape = Tape()
@@ -113,9 +113,9 @@ class TestHandDerivedGradients:
         # rows (0, 0) and (2, 4) the output gradients are (10, 20) and
         # (8, 16), which sum to the b_head gradient, and w_head meets hs = 0
         def build(tape):
-            b_head = tape.leaf([10.0, 20.0], requires_grad=True)
-            x = tape.leaf(np.ones((2, 1)), requires_grad=True)
-            leaves = zero_lstm(tape, x, 2, b_head, requires_grad=True)
+            b_head = tape.leaf([10.0, 20.0])
+            x = tape.leaf(np.ones((2, 1)))
+            leaves = zero_lstm(tape, x, 2, b_head)
             out = tape.lstm(*leaves, steps=2, squash=False)
             target = tape.leaf([[0.0, 0.0], [2.0, 4.0]])
             return tape.weighted_mse(target, out, (1.0, 1.0)), b_head, leaves[4]
@@ -128,7 +128,7 @@ class TestHandDerivedGradients:
         # each sample collects its coverage count: 1, 2, 3, 2, 1 for T=5
         # and 3 steps
         def build(tape):
-            x = tape.leaf(np.arange(10.0).reshape(5, 2), requires_grad=True)
+            x = tape.leaf(np.arange(10.0).reshape(5, 2))
             return tape.sum(tape.windows(x, 3)), x
 
         (gx,) = grads_of(build)
@@ -146,13 +146,14 @@ class TestHandDerivedGradients:
         b_head = rng.uniform(-0.5, 0.5, 2)
 
         def build(tape, shared):
-            wx = tape.leaf(w, requires_grad=True)
-            wh = wx if shared else tape.leaf(w, requires_grad=True)
+            wx = tape.leaf(w)
+            wh = wx if shared else tape.leaf(w)
             leaves = [tape.leaf(x), wx, wh] + [tape.leaf(v) for v in (bias, w_head, b_head)]
             return tape.sum(tape.lstm(*leaves, steps=steps, squash=False)), wx, wh
 
-        shared, _ = grads_of(lambda tape: build(tape, True))
+        shared, shared_again = grads_of(lambda tape: build(tape, True))
         gwx, gwh = grads_of(lambda tape: build(tape, False))
+        np.testing.assert_array_equal(shared_again, shared)
         np.testing.assert_array_equal(shared, gwx + gwh)
         _, ref = reference_lstm(x, w, w, bias, w_head, b_head, steps, False,
                                 np.ones((2 * steps, 2)))
@@ -169,39 +170,91 @@ class TestTapeMechanics:
 
     def test_backward_requires_scalar(self):
         tape = Tape()
-        x = tape.leaf([1.0, 2.0], requires_grad=True)
+        x = tape.leaf([1.0, 2.0])
         with pytest.raises(ShapeError):
-            tape.backward(x)
+            tape.backward(x, [x])
 
     def test_backward_returns_zeros_for_unreached_leaf(self):
         tape = Tape()
-        x = tape.leaf([1.0], requires_grad=True)
-        unused = tape.leaf([[1.0, 2.0]], requires_grad=True)
-        grads = tape.backward(tape.sum(x))
-        np.testing.assert_array_equal(grads[unused], [[0.0, 0.0]])
+        x = tape.leaf([1.0])
+        unused = tape.leaf([[1.0, 2.0]])
+        grad_x, grad_unused = tape.backward(tape.sum(x), [x, unused])
+        np.testing.assert_array_equal(grad_x, [1.0])
+        np.testing.assert_array_equal(grad_unused, [[0.0, 0.0]])
 
-    def test_frozen_leaves_are_absent_from_gradients(self):
+    def test_gradients_come_back_in_wrt_order(self):
+        # d/d_out = 2 (out - target) / rows and d/d_target its negative
         tape = Tape()
-        x = tape.leaf(np.ones((2, 1)), requires_grad=True)
-        x, *frozen = zero_lstm(tape, x, 1, tape.leaf([2.0], requires_grad=False))
-        grads = tape.backward(tape.sum(tape.lstm(x, *frozen, steps=2, squash=True)))
-        assert x in grads
-        for w in frozen:
-            assert w not in grads
+        target = tape.leaf([[0.0, 0.0]])
+        output = tape.leaf([[1.0, 3.0]])
+        loss = tape.weighted_mse(target, output, (1.0, 1.0))
+        grad_o, grad_t = tape.backward(loss, [output, target])
+        np.testing.assert_array_equal(grad_o, [[2.0, 6.0]])
+        np.testing.assert_array_equal(grad_t, [[-2.0, -6.0]])
+        grad_t2, grad_o2 = tape.backward(loss, [target, output])
+        np.testing.assert_array_equal(grad_t2, grad_t)
+        np.testing.assert_array_equal(grad_o2, grad_o)
+
+    def test_leaf_listed_twice_gets_two_independent_arrays(self):
+        tape = Tape()
+        x = tape.leaf([[1.0, 1.0]])
+        loss = tape.weighted_mse(tape.leaf([[0.0, 0.0]]), x, (1.0, 1.0))
+        first, second = tape.backward(loss, [x, x])
+        np.testing.assert_array_equal(first, [[2.0, 2.0]])
+        np.testing.assert_array_equal(second, first)
+        first[0, 0] = 17.0
+        assert second[0, 0] == 2.0
+
+    def test_foreign_or_non_leaf_wrt_raises(self):
+        tape, other = Tape(), Tape()
+        x = tape.leaf([[1.0, 2.0]])
+        y = tape.weighted_mse(tape.leaf([[0.0, 0.0]]), x, (1.0, 1.0))
+        loss = tape.sum(y)
+        with pytest.raises(ValueError, match="not a leaf of this tape"):
+            tape.backward(loss, [x, other.leaf([[1.0, 2.0]])])
+        with pytest.raises(ValueError, match="not a leaf of this tape"):
+            tape.backward(loss, [y])
+
+    @pytest.mark.parametrize("wrt", ["series", "params"])
+    def test_rules_are_asked_only_for_inputs_that_reach_wrt(self, monkeypatch, wrt):
+        # the autoencoder's two lstm ops: by the series, no weight gradient
+        # is asked of either; by the weights, the encoder's input gradient
+        # is not, while the decoder's input, the latent stack, depends on
+        # the encoder's weights and is
+        needs_by_op, rule = {}, autodiff._OPS["lstm"]
+
+        def backward(g, out, saved, values, needs, kwargs):
+            needs_by_op["encoder" if kwargs["squash"] else "decoder"] = list(needs)
+            return rule.backward(g, out, saved, values, needs, kwargs)
+
+        monkeypatch.setitem(autodiff._OPS, "lstm", autodiff._OpRule(rule.forward, backward))
+        config = NetConfig(n_features=3, seq_len=2, lstm_hidden=4, latent_dim=2)
+        tape = Tape()
+        net = lift_params(tape, init_params(config, seed=1))
+        series = tape.leaf(np.linspace(0.0, 1.0, 15).reshape(5, 3))
+        loss, _ = windowed_loss(tape, net, series, config.seq_len, (1.0, 0.0, 1.0))
+        grads = tape.backward(loss, [series] if wrt == "series" else list(net.values()))
+        if wrt == "series":
+            assert needs_by_op == {"encoder": [True] + [False] * 5,
+                                   "decoder": [True] + [False] * 5}
+            assert grads[0].any()
+        else:
+            assert needs_by_op == {"encoder": [False] + [True] * 5, "decoder": [True] * 6}
+            assert len(grads) == 10 and all(g.any() for g in grads)
 
     def test_gradient_arrays_are_independent_copies(self):
         tape = Tape()
-        x = tape.leaf([[1.0, 1.0]], requires_grad=True)
+        x = tape.leaf([[1.0, 1.0]])
         y = tape.weighted_mse(tape.leaf([[0.0, 0.0]]), x, (1.0, 1.0))
-        grads_a = tape.backward(tape.sum(y))
-        grads_b = tape.backward(tape.sum(y))
-        grads_a[x][0, 0] = 17.0
-        assert grads_b[x][0, 0] == 2.0
+        (grad_a,) = tape.backward(tape.sum(y), [x])
+        (grad_b,) = tape.backward(tape.sum(y), [x])
+        grad_a[0, 0] = 17.0
+        assert grad_b[0, 0] == 2.0
 
     def test_tape_with_grad_leaf_is_freed_without_cyclic_collection(self):
         tape = Tape()
-        x = tape.leaf([[1.0, 2.0]], requires_grad=True)
-        grads = tape.backward(tape.sum(x))
+        x = tape.leaf([[1.0, 2.0]])
+        grads = tape.backward(tape.sum(x), [x])
         ref = weakref.ref(tape)
         gc.disable()
         try:
@@ -342,16 +395,16 @@ class TestLSTMOp:
 
             tape = Tape()
             needs = [wrt == "x"] + [wrt == "weights"] * 5
-            leaves = [tape.leaf(v, requires_grad=r) for v, r in zip(inputs, needs)]
+            leaves = [tape.leaf(v) for v in inputs]
             out = tape.lstm(*leaves, steps=steps, squash=squash)
-            grads = tape.backward(tape.weighted_mse(tape.leaf(target), out, np.ones(p)))
+            wrt = [leaf for leaf, need in zip(leaves, needs) if need]
+            loss = tape.weighted_mse(tape.leaf(target), out, np.ones(p))
+            grads = tape.backward(loss, wrt)
 
             assert relative_error(out.value, expected_out) <= 1e-12
-            for leaf, need, expected in zip(leaves, needs, expected_grads, strict=True):
-                if need:
-                    assert relative_error(grads[leaf], expected) <= 1e-12
-                else:
-                    assert leaf not in grads
+            expected = [grad for grad, need in zip(expected_grads, needs) if need]
+            for got, want in zip(grads, expected, strict=True):
+                assert relative_error(got, want) <= 1e-12
 
     def test_zero_state_step_never_reads_the_forget_gate(self):
         # one step from a zero state: the forget gate multiplies a zero cell,
@@ -366,11 +419,10 @@ class TestLSTMOp:
         def run(wx, wh, bias):
             # the identity head returns the hidden states bit for bit
             tape = Tape()
-            leaves = [tape.leaf(v, requires_grad=True) for v in (x, wx, wh, bias)]
+            leaves = [tape.leaf(v) for v in (x, wx, wh, bias)]
             head = [tape.leaf(np.eye(h)), tape.leaf(np.zeros(h))]
             out = tape.lstm(*leaves, *head, steps=1, squash=False)
-            grads = tape.backward(tape.sum(out))
-            return out.value, [grads[leaf] for leaf in leaves]
+            return out.value, tape.backward(tape.sum(out), leaves)
 
         out, grads = run(wx, wh, bias)
         other = [w.copy() for w in (wx, wh, bias)]
@@ -386,36 +438,37 @@ class TestLSTMOp:
         tape = Tape()
         inputs = (np.ones((4, 2)), np.full((2, 8), 0.1), np.full((2, 8), 0.1), np.zeros(8),
                   np.full((2, 1), 0.1), np.zeros(1))
-        leaves = [tape.leaf(v, requires_grad=True) for v in inputs]
+        leaves = [tape.leaf(v) for v in inputs]
         with lstm_arena():
             loss = tape.sum(tape.lstm(*leaves, steps=2, squash=True))
             with pytest.raises(RuntimeError):
                 with lstm_arena():
                     pass
-        tape.backward(loss)  # no later opening yet: the residuals are intact
+        tape.backward(loss, leaves)  # no later opening yet: the residuals are intact
         with lstm_arena():
             pass
         with pytest.raises(RuntimeError):
-            tape.backward(loss)
+            tape.backward(loss, leaves)
 
     def test_saturated_gates_stay_finite_without_warnings(self):
         # pre-activations of +-800: every gate and the candidate saturate
         h = 2
         tape = Tape()
-        x = tape.leaf(np.ones((6, 1)), requires_grad=True)
-        wx = tape.leaf(np.zeros((1, 4 * h)), requires_grad=True)
-        wh = tape.leaf(np.zeros((h, 4 * h)), requires_grad=True)
-        bias = tape.leaf(np.tile([800.0, -800.0], 4 * h // 2), requires_grad=True)
+        x = tape.leaf(np.ones((6, 1)))
+        wx = tape.leaf(np.zeros((1, 4 * h)))
+        wh = tape.leaf(np.zeros((h, 4 * h)))
+        bias = tape.leaf(np.tile([800.0, -800.0], 4 * h // 2))
         # the identity head returns the hidden states bit for bit
-        w_head = tape.leaf(np.eye(h), requires_grad=True)
-        b_head = tape.leaf(np.zeros(h), requires_grad=True)
+        w_head = tape.leaf(np.eye(h))
+        b_head = tape.leaf(np.zeros(h))
+        leaves = [x, wx, wh, bias, w_head, b_head]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            out = tape.lstm(x, wx, wh, bias, w_head, b_head, steps=3, squash=False)
-            grads = tape.backward(tape.sum(out))
+            out = tape.lstm(*leaves, steps=3, squash=False)
+            grads = tape.backward(tape.sum(out), leaves)
         assert np.isfinite(out.value).all()
-        for leaf in (x, wx, wh, bias, w_head, b_head):
-            assert np.isfinite(grads[leaf]).all()
+        for grad in grads:
+            assert np.isfinite(grad).all()
 
     @pytest.mark.parametrize(
         "x_shape,wx_shape,wh_shape,bias_shape,steps",
@@ -484,9 +537,9 @@ class TestGradientProperties:
     @settings(max_examples=25, deadline=None)
     def test_sum_gradient_is_all_ones(self, values):
         tape = Tape()
-        x = tape.leaf(values, requires_grad=True)
-        grads = tape.backward(tape.sum(x))
-        np.testing.assert_array_equal(grads[x], np.ones_like(values))
+        x = tape.leaf(values)
+        (grad,) = tape.backward(tape.sum(x), [x])
+        np.testing.assert_array_equal(grad, np.ones_like(values))
 
     @given(arrays(np.float64, (4, 3), elements=finite_floats))
     @settings(max_examples=25, deadline=None)
@@ -496,9 +549,9 @@ class TestGradientProperties:
         # gradient under all weights exactly
         def grad(weights):
             tape = Tape()
-            x = tape.leaf(values, requires_grad=True)
+            x = tape.leaf(values)
             loss = tape.weighted_mse(tape.leaf(np.zeros_like(values)), x, weights)
-            return tape.backward(loss)[x]
+            return tape.backward(loss, [x])[0]
 
         left, right, full = grad((1.0, 0.0, 0.0)), grad((0.0, 1.0, 1.0)), grad((1.0,) * 3)
         np.testing.assert_array_equal(left[:, 1:], 0.0)
@@ -522,14 +575,13 @@ class TestGradientProperties:
 
         def bias_grads(shared):
             tape = Tape()
-            a = tape.leaf(a_vals, requires_grad=True)
-            b_enc = tape.leaf(b_vals, requires_grad=True)
-            b_dec = b_enc if shared else tape.leaf(b_vals, requires_grad=True)
-            enc, dec = ([tape.leaf(w, requires_grad=True) for w in ws] for ws in weights)
+            a = tape.leaf(a_vals)
+            b_enc = tape.leaf(b_vals)
+            b_dec = b_enc if shared else tape.leaf(b_vals)
+            enc, dec = ([tape.leaf(w) for w in ws] for ws in weights)
             latent = tape.lstm(a, *enc, b_enc, steps=2, squash=True)
-            grads = tape.backward(tape.sum(tape.lstm(latent, *dec, b_dec, steps=2,
-                                                     squash=False)))
-            return grads[b_enc], grads[b_dec]
+            loss = tape.sum(tape.lstm(latent, *dec, b_dec, steps=2, squash=False))
+            return tape.backward(loss, [b_enc, b_dec])
 
         shared, _ = bias_grads(True)
         g_enc, g_dec = bias_grads(False)

@@ -433,9 +433,15 @@ class TestReconstruct:
              "scaler.constant disagrees with scaler.mins == scaler.maxs"),
             # u1,u2,u2,i2: reconstruct would leave one column of its series unset
             (("feature_names", 1), "u2", "feature name 'u2' repeats"),
+            # a float or bool window length reached range() or read as 1
+            (("net", "seq_len"), 3.0, "net.seq_len must be a JSON integer, got 3.0"),
+            (("net", "seq_len"), True, "net.seq_len must be a JSON integer, got True"),
+            (("net", "lstm_hidden"), 4.0, "net.lstm_hidden must be a JSON integer"),
+            (("feature_names", 0), 1, "feature_names must be a list of strings"),
         ],
         ids=["nan-param", "inf-param", "nan-mins", "maxs-below-mins", "constant-flag",
-             "repeated-name"],
+             "repeated-name", "float-seq_len", "bool-seq_len", "float-hidden",
+             "int-name"],
     )
     def test_corrupt_model_values_fail_validation(self, pipeline, tmp_path, capsys,
                                                   where, value, message):

@@ -159,6 +159,42 @@ class TestModelJSON:
         with pytest.raises(FormatError):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "where,value,message",
+        [
+            (("net", "seq_len"), 3.0, "net.seq_len must be a JSON integer, got 3.0"),
+            (("net", "seq_len"), True, "net.seq_len must be a JSON integer, got True"),
+            (("net", "lstm_hidden"), 4.0, "net.lstm_hidden must be a JSON integer, got 4.0"),
+            (("net", "latent_dim"), "2", "net.latent_dim must be a JSON integer, got '2'"),
+            (("feature_names",), [1, 2, 3], "feature_names must be a list of strings"),
+            (("feature_names",), "abc", "feature_names must be a list of strings"),
+        ],
+        ids=["float-seq_len", "bool-seq_len", "float-hidden", "string-latent",
+             "int-names", "string-names"],
+    )
+    def test_mistyped_net_field_or_names_are_rejected(self, tmp_path, where, value,
+                                                      message):
+        path = tmp_path / "model.json"
+        save_model(path, sample_model())
+        doc = json.loads(path.read_text())
+        owner = doc
+        for key in where[:-1]:
+            owner = owner[key]
+        owner[where[-1]] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+            load_model(path)
+
+    def test_missing_net_field_is_rejected(self, tmp_path):
+        # seq_len sets no array shape: a default would go unnoticed
+        path = tmp_path / "model.json"
+        save_model(path, sample_model())
+        doc = json.loads(path.read_text())
+        del doc["net"]["seq_len"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="net.seq_len must be a JSON integer"):
+            load_model(path)
+
     def test_missing_parameter_is_rejected(self, tmp_path):
         model = sample_model()
         path = tmp_path / "model.json"

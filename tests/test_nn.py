@@ -96,7 +96,7 @@ class TestInitialization:
     def test_lifted_leaves_follow_the_table_in_matmul_layout(self):
         config = NetConfig(n_features=3, lstm_hidden=5, latent_dim=2)
         params = init_params(config, seed=3)
-        net = lift_params(Tape(), params, requires_grad=False)
+        net = lift_params(Tape(), params)
         assert list(net) == list(params.as_dict()) == list(param_shapes(config))
         # matrices go on the tape as [in, out]; biases as stored
         for name, arr in params.items():
@@ -133,7 +133,7 @@ class TestLSTMStep:
     @staticmethod
     def _run(params, x_val, steps):
         tape = Tape()
-        net = lift_params(tape, params, requires_grad=False)
+        net = lift_params(tape, params)
         x = tape.leaf(np.asarray(x_val, dtype=float))
         return encoder_states(tape, net, x, steps).value
 
@@ -181,7 +181,7 @@ class TestLSTMStep:
         params = init_params(config, seed=4)
 
         def f(tape, x):
-            net = lift_params(tape, params, requires_grad=False)
+            net = lift_params(tape, params)
             h = encoder_states(tape, net, x, steps=2)
             return tape.weighted_mse(tape.leaf(np.zeros((2, 3))), h, np.ones(3))
 
@@ -194,7 +194,7 @@ class TestAutoencoderForward:
         config = NetConfig(n_features=4, seq_len=3, lstm_hidden=5, latent_dim=2)
         params = init_params(config, seed=7)
         tape = Tape()
-        net = lift_params(tape, params, requires_grad=False)
+        net = lift_params(tape, params)
         window = tape.leaf(np.linspace(0, 1, 12).reshape(3, 4))
         out = forward_window(tape, net, window)
         assert out.shape == (3, 4)
@@ -203,7 +203,7 @@ class TestAutoencoderForward:
         config = NetConfig(n_features=4, seq_len=3, lstm_hidden=4, latent_dim=2)
         params = zero_params(config)
         tape = Tape()
-        net = lift_params(tape, params, requires_grad=False)
+        net = lift_params(tape, params)
         window = tape.leaf(np.random.default_rng(0).uniform(-1, 1, (3, 4)))
         out = forward_window(tape, net, window)
         np.testing.assert_array_equal(out.value, np.zeros((3, 4)))
@@ -215,7 +215,7 @@ class TestAutoencoderForward:
         series = np.random.default_rng(1).uniform(0, 1, (6, 4))
 
         tape = Tape()
-        net = lift_params(tape, params, requires_grad=False)
+        net = lift_params(tape, params)
         num = series.shape[0] - config.seq_len + 1
         x = tape.leaf(np.concatenate([series[t : t + num] for t in range(config.seq_len)]))
         batched = forward_steps(tape, net, x, config.seq_len).value.reshape(
@@ -224,7 +224,7 @@ class TestAutoencoderForward:
 
         for w in range(num):
             tape_w = Tape()
-            net_w = lift_params(tape_w, params, requires_grad=False)
+            net_w = lift_params(tape_w, params)
             window = tape_w.leaf(series[w : w + config.seq_len])
             out = forward_window(tape_w, net_w, window)
             for t in range(config.seq_len):
@@ -239,7 +239,7 @@ class TestAutoencoderForward:
         params = init_params(config, seed=12)
 
         def f(tape, window):
-            net = lift_params(tape, params, requires_grad=False)
+            net = lift_params(tape, params)
             out = forward_window(tape, net, window)
             target = tape.leaf(np.full((3, 3), 0.3))
             return tape.weighted_mse(target, out, np.ones(3))
@@ -254,7 +254,7 @@ class TestAutoencoderForward:
         window = np.random.default_rng(4).uniform(0, 1, (3, 2))
 
         def f(tape, wx):
-            net = lift_params(tape, base, requires_grad=False)
+            net = lift_params(tape, base)
             # swap the encoder input weights, lifted [in, 4h], for the checked leaf
             net["encoder.wx"] = wx
             out = forward_window(tape, net, tape.leaf(window))
@@ -267,15 +267,15 @@ class TestAutoencoderForward:
 def whole_series(params, series, seq_len, weights, wrt):
     """``windowed_objective``'s result from one ``windowed_loss`` tape."""
     tape = Tape()
-    net = lift_params(tape, params, requires_grad=wrt == "params")
-    x = tape.leaf(series, requires_grad=wrt == "series")
+    net = lift_params(tape, params)
+    x = tape.leaf(series)
     loss, y = windowed_loss(tape, net, x, seq_len, weights)
     if wrt is None:
         return loss.item(), overlap_mean_values(y.value, seq_len)
-    grads = tape.backward(loss)
     if wrt == "series":
-        return loss.item(), grads[x]
-    return loss.item(), {name: grads[v].T for name, v in net.items()}
+        return loss.item(), tape.backward(loss, [x])[0]
+    grads = tape.backward(loss, list(net.values()))
+    return loss.item(), {name: grad.T for name, grad in zip(net, grads)}
 
 
 def arrays(result):
@@ -393,21 +393,22 @@ def chunk_by_chunk(params, series, seq_len, weights, wrt, chunk):
         w1 = min(w0 + chunk, num_windows)
         rows = slice(w0, w1 + seq_len - 1)
         tape = Tape()
-        net = lift_params(tape, params, requires_grad=wrt == "params")
-        x = tape.leaf(series[rows], requires_grad=wrt == "series")
+        net = lift_params(tape, params)
+        x = tape.leaf(series[rows])
         loss, y = windowed_loss(tape, net, x, seq_len, weights * ((w1 - w0) / num_windows))
         loss_sum += loss.item()
         if wrt is None:
             result[rows] += window_sum(y.value, seq_len)
             continue
-        grads = tape.backward(loss)
         if wrt == "series":
-            result[rows] += grads[x]
-        elif result is None:
-            result = {name: grads[v].T for name, v in net.items()}
+            result[rows] += tape.backward(loss, [x])[0]
+            continue
+        grads = dict(zip(net, tape.backward(loss, list(net.values()))))
+        if result is None:
+            result = {name: grad.T for name, grad in grads.items()}
         else:
-            for name, v in net.items():
-                result[name] += grads[v].T
+            for name, grad in grads.items():
+                result[name] += grad.T
     if wrt is None:
         result /= coverage_counts(series.shape[0], seq_len)[:, None]
     return loss_sum, result
@@ -449,19 +450,20 @@ class TestLSTMArena:
         calls = record_lstm(monkeypatch)
         params, series = self.setup(40)
         tape = Tape()
-        net = lift_params(tape, params, requires_grad=True)
-        x = tape.leaf(series, requires_grad=True)
+        net = lift_params(tape, params)
+        x = tape.leaf(series)
+        leaves = [*net.values(), x]
         loss, y = windowed_loss(tape, net, x, 3, self.WEIGHTS)
         values = [out for out, _ in calls] + [y.value]
         before = [v.copy() for v in values]
-        grads_before = tape.backward(loss)
+        grads_before = tape.backward(loss, leaves)
         windowed_objective(params, self.setup(600)[1], 3, self.WEIGHTS, wrt)
         for value, copy in zip(values, before, strict=True):
             np.testing.assert_array_equal(value, copy)
         # the residuals are intact too: the backward gives the same gradients
-        grads_after = tape.backward(loss)
-        for leaf, grad in grads_before.items():
-            np.testing.assert_array_equal(grads_after[leaf], grad)
+        grads_after = tape.backward(loss, leaves)
+        for grad_after, grad in zip(grads_after, grads_before, strict=True):
+            np.testing.assert_array_equal(grad_after, grad)
 
     def test_second_call_reuses_the_arrays_of_the_first(self, monkeypatch):
         calls = record_lstm(monkeypatch)

@@ -107,7 +107,7 @@ class TestLosses:
         target = tape.leaf([[0.0, 0.0], [0.0, 0.0]])
         output = tape.leaf([[1.0, 2.0], [1.0, 2.0]])
         # column means of squared error: 1.0 and 4.0; reduced loss sums them
-        loss = reduced_loss(tape, target, output)
+        loss = reduced_loss(tape, target, output, weights=(1.0, 1.0))
         assert loss.item() == 5.0
 
     def test_reduced_loss_weights_scale_terms(self):
@@ -122,7 +122,7 @@ class TestLosses:
         target = tape.leaf(np.zeros((2, 2)))
         output = tape.leaf(np.zeros((3, 2)))
         with pytest.raises(Exception):
-            reduced_loss(tape, target, output)
+            reduced_loss(tape, target, output, weights=(1.0, 1.0))
 
     def test_reduced_loss_rejects_wrong_weight_count(self):
         tape = Tape()
@@ -134,11 +134,11 @@ class TestLosses:
     def test_reduced_loss_gradient_flows_per_column(self):
         tape = Tape()
         target = tape.leaf(np.zeros((2, 2)))
-        output = tape.leaf([[1.0, 0.0], [1.0, 0.0]], requires_grad=True)
+        output = tape.leaf([[1.0, 0.0], [1.0, 0.0]])
         loss = reduced_loss(tape, target, output, weights=(1.0, 3.0))
-        grads = tape.backward(loss)
+        (grad,) = tape.backward(loss, [output])
         # d/d_out of (mean col0 sq) = 2*out/2 = out; second column zero
-        np.testing.assert_array_equal(grads[output], [[1.0, 0.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(grad, [[1.0, 0.0], [1.0, 0.0]])
 
     def test_reduced_loss_matches_per_column_reference(self):
         # reference: the weighted sum of per-column MSEs, one column at a time
@@ -177,9 +177,9 @@ class TestLosses:
         results = []
         for data in (target, poisoned, overflowing):
             tape = Tape()
-            t = tape.leaf(data, requires_grad=True)
+            t = tape.leaf(data)
             loss = reduced_loss(tape, t, tape.leaf(output), (2.0, 0.0, 0.7))
-            results.append((loss.item(), tape.backward(loss)[t]))
+            results.append((loss.item(), tape.backward(loss, [t])[0]))
         for loss, grad in results[1:]:
             assert loss == results[0][0]
             np.testing.assert_array_equal(grad, results[0][1])

@@ -172,7 +172,7 @@ class TestWindows:
         values = np.arange(12.0).reshape(6, 2)
         config = NetConfig(n_features=2, seq_len=3, lstm_hidden=3, latent_dim=1)
         tape = Tape()
-        net = lift_params(tape, init_params(config, seed=0), requires_grad=False)
+        net = lift_params(tape, init_params(config, seed=0))
         x = tape.windows(tape.leaf(values), 3)
         y = forward_steps(tape, net, x, 3)
         assert x.shape == y.shape == (12, 2)

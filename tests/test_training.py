@@ -155,10 +155,10 @@ class TestTrain:
         results = []
         for build in (windowed, pooled):
             tape = Tape()
-            net = lift_params(tape, model.params, requires_grad=True)
+            net = lift_params(tape, model.params)
             loss = build(tape, net)
-            grads = tape.backward(loss)
-            results.append((loss.item(), {k: grads[v] for k, v in net.items()}))
+            grads = tape.backward(loss, list(net.values()))
+            results.append((loss.item(), dict(zip(net, grads))))
         (loss_a, grads_a), (loss_b, grads_b) = results
         assert loss_a == loss_b
         for name in grads_a:
