@@ -21,9 +21,9 @@ Shape rules per op:
 ==================  ==========================================  ============
 op                  inputs                                      output
 ==================  ==========================================  ============
-lstm                ``x [S*B, in]``, ``wx [in, 4h]``,           ``[S*B, p]``
-                    ``wh [h, 4h]``, ``bias [4h]``,
-                    ``w_head [h, p]``, ``b_head [p]``;
+lstm                ``x [S*B, in]``, ``wx [4h, in]``,           ``[S*B, p]``
+                    ``wh [4h, h]``, ``bias [4h]``,
+                    ``w_head [p, h]``, ``b_head [p]``;
                     ``steps=S``, ``squash``
 windows             ``[T, n]``; ``steps=S``, ``1 <= S <= T``    ``[S*W, n]``
 sum                 one tensor                                  ``[1]``
@@ -33,9 +33,9 @@ weighted_mse        two ``[m, n]`` tensors; ``weights`` (n)     ``[1]``
 The set holds what the autoencoder and its loss record, plus ``sum`` for
 whole-tensor gradient checks: ``windows`` cuts a series into the network's
 input stack, two ``lstm`` ops run the network, and ``weighted_mse`` scores
-it. There is no transpose: the autoencoder's weights are lifted in the
-``[in, out]`` layout its products use. :class:`Var` has no arithmetic
-operators, so every recorded op is named at its call site.
+it. There is no transpose op: ``lstm`` takes its weights ``[out, in]``,
+as the model file stores them, and transposes inside. :class:`Var` has
+no arithmetic operators, so every recorded op is named at its call site.
 
 ``windows`` takes every stride-1 window of ``S`` samples (W = T - S + 1 of
 them) in the step-major layout ``lstm`` reads: rows ``t*W .. (t+1)*W`` of
@@ -52,13 +52,14 @@ cannot change the loss or any gradient by a single bit, whatever it holds.
 ``lstm`` runs a whole LSTM layer and the dense layer after it over a
 step-major stack: rows ``t*B .. (t+1)*B`` of ``x`` are step ``t`` of B
 sequences, state starts at zero, and the hidden states ``hs``, stacked
-the same way, go through the head ``hs @ w_head + b_head``, then through
+the same way, go through the head ``hs @ w_head.T + b_head``, then through
 ``tanh`` if ``squash`` is true. The encoder's latent head squashes, the
 decoder's readout does not. A ``[S*B, h]`` hidden-state stack therefore
-never becomes a node of the tape. Gate blocks of ``wx``, ``wh`` and
-``bias`` are in ``GATE_ORDER``. Inside, the op works gate-major: it
-copies the weights once per call to ``[4, in+1, h]`` and ``[4, h, h]``
-blocks, the bias as the last input row, multiplied by a ones column
+never becomes a node of the tape. The row blocks of ``wx``, ``wh`` and
+``bias`` are the gates in ``GATE_ORDER``. Inside, the op works
+gate-major: it copies the weights once per call to contiguous
+``[4, in+1, h]`` and ``[4, h, h]`` blocks (and the head weight to
+``[h, p]``), the bias as the last input row, multiplied by a ones column
 appended to ``x``, so one product gives the pre-activations and, in the
 backward, the bias gradient with the input weights'. The kernel order is
 forget, input, output, candidate: sigmoid gates first, and the forget
@@ -74,7 +75,7 @@ serves every gate. The backward is closed-form backpropagation through
 time over the cell states and gate activations kept from the forward,
 after the head's own backward has turned the output gradient into the
 hidden states' gradient; it maps the weight gradients back to
-``GATE_ORDER`` columns once, after the time loop.
+``GATE_ORDER`` rows of the ``[out, in]`` layout once, after the time loop.
 
 Inside ``lstm_arena()`` the op keeps those residuals, the hidden states
 among them, and takes its scratch arrays, the hidden states' gradient
@@ -231,23 +232,23 @@ def _work(key, shape: tuple[int, ...]) -> Array:
     return buf[:size].reshape(shape)
 
 
-def _gate_major(w: Array) -> Array:
-    """A ``[rows, 4h]`` GATE_ORDER array as a ``[4, rows, h]`` copy in kernel order."""
-    return w.reshape(w.shape[0], 4, -1).transpose(1, 0, 2)[_KERNEL_GATES]
+def _gate_blocks(w: Array) -> Array:
+    """``[4h, cols]`` GATE_ORDER row blocks as a ``[4, h, cols]`` copy in kernel order."""
+    return w.reshape(4, -1, w.shape[1])[_KERNEL_GATES]
 
 
-def _gate_columns(g4: Array) -> Array:
-    """Inverse of ``_gate_major``: ``[4, rows, h]`` kernel order to ``[rows, 4h]``."""
-    return g4[_KERNEL_GATES].transpose(1, 0, 2).reshape(g4.shape[1], -1)
+def _gate_rows(g4: Array) -> Array:
+    """Kernel-order ``[4, cols, h]`` blocks as ``[4h, cols]`` GATE_ORDER rows."""
+    return g4[_KERNEL_GATES].transpose(0, 2, 1).reshape(-1, g4.shape[1])
 
 
 def _fw_lstm(values, kwargs):
     x, wx, wh, bias, w_head, b_head = values
     steps = kwargs["steps"]
-    h = wh.shape[0]
-    if (x.ndim != 2 or wx.shape != (x.shape[1], 4 * h) or wh.shape != (h, 4 * h)
-            or bias.shape != (4 * h,) or w_head.ndim != 2 or w_head.shape[0] != h
-            or b_head.shape != w_head.shape[1:]):
+    h = wh.shape[-1]
+    if (x.ndim != 2 or wx.shape != (4 * h, x.shape[1]) or wh.shape != (4 * h, h)
+            or bias.shape != (4 * h,) or w_head.ndim != 2 or w_head.shape[1] != h
+            or b_head.shape != w_head.shape[:1]):
         raise ShapeError(f"lstm: shapes x {x.shape}, wx {wx.shape}, wh {wh.shape}, "
                          f"bias {bias.shape}, w_head {w_head.shape} and b_head "
                          f"{b_head.shape} do not conform")
@@ -262,10 +263,12 @@ def _fw_lstm(values, kwargs):
     xa = _work(("xa", pos), (n, n_in + 1))
     xa[:, :n_in] = x
     xa[:, n_in] = 1.0
+    # contiguous [4, in+1, h] and [4, h, h] factors, sigmoid blocks halved: as
+    # transposed views the products take more than twice as long
+    wxb4, wh4 = (np.ascontiguousarray(_gate_blocks(w).transpose(0, 2, 1)) * _HALF
+                 for w in (np.hstack((wx, bias[:, None])), wh))
     # [4, S*B, h] pre-activations, overwritten by activations step by step
-    acts = np.matmul(xa, _gate_major(np.vstack((wx, bias))) * _HALF,
-                     out=_work(("acts", pos), (4, n, h)))
-    wh4 = _gate_major(wh) * _HALF
+    acts = np.matmul(xa, wxb4, out=_work(("acts", pos), (4, n, h)))
     recur = _work("recur", (4, batch, h))
     hs = _work(("hs", pos), (n, h))
     cs = _work(("cs", pos), (n, h))
@@ -288,8 +291,9 @@ def _fw_lstm(values, kwargs):
             cs[rows] += np.multiply(gate_f, cs[prev], out=tmp)
         np.tanh(cs[rows], out=tanh_cs[rows])
         np.multiply(gate_o, tanh_cs[rows], out=hs[rows])
-    # the head: a fresh [S*B, p] product, then the bias, then the squash
-    out = hs @ w_head
+    # the head: a fresh [S*B, p] product by a contiguous copy of w_head.T (the
+    # view rounds differently), then the bias, then the squash
+    out = hs @ np.ascontiguousarray(w_head.T)
     out += b_head
     if kwargs["squash"]:
         np.tanh(out, out=out)
@@ -304,16 +308,15 @@ def _bw_lstm(g, out, saved, values, needs, kwargs):
         raise RuntimeError("lstm: a later lstm_arena overwrote this tape's residuals")
     steps = kwargs["steps"]
     batch = x.shape[0] // steps
-    h = wh.shape[0]
+    h = wh.shape[1]
     # the head first: its weights' gradients, then the hidden states' gradient
     gz = g * (1.0 - out * out) if kwargs["squash"] else g
-    gw_head = hs.T @ gz if needs[4] else None
+    gw_head = (hs.T @ gz).T if needs[4] else None
     # a product with ones: gz.sum(axis=0) over a narrow [S*B, p] gradient is 5x slower
     gb_head = np.ones(gz.shape[0]) @ gz if needs[5] else None
-    dhs = np.matmul(gz, w_head.T, out=_work("dhs", hs.shape))
-    # block k is wx_k.T (wh_k.T); as views, the products take twice as long
-    wx4_t = _gate_major(wx).transpose(0, 2, 1).copy()
-    wh4_t = _gate_major(wh).transpose(0, 2, 1).copy()
+    dhs = np.matmul(gz, w_head, out=_work("dhs", hs.shape))
+    wx4 = _gate_blocks(wx)
+    wh4 = _gate_blocks(wh)
     dpre = _work("dpre", acts.shape)
     dh4 = _work("dh4", (4, batch, h))
     dh = _work("dh", (batch, h))
@@ -324,7 +327,7 @@ def _bw_lstm(g, out, saved, values, needs, kwargs):
     for t in range(steps - 1, -1, -1):
         rows, prev = slice(t * batch, (t + 1) * batch), slice((t - 1) * batch, t * batch)
         if t < steps - 1:
-            np.matmul(dpre[:, (t + 1) * batch:(t + 2) * batch], wh4_t, out=dh4)
+            np.matmul(dpre[:, (t + 1) * batch:(t + 2) * batch], wh4, out=dh4)
             dh4.sum(axis=0, out=dh)
             dh += dhs[rows]
         else:
@@ -357,13 +360,13 @@ def _bw_lstm(g, out, saved, values, needs, kwargs):
         np.multiply(cand, cand, out=tmp)
         np.subtract(1.0, tmp, out=tmp)
         d_cand *= tmp
-    gx = (np.matmul(dpre, wx4_t, out=_work("gx4", (4, x.shape[0], x.shape[1]))).sum(axis=0)
+    gx = (np.matmul(dpre, wx4, out=_work("gx4", (4, x.shape[0], x.shape[1]))).sum(axis=0)
           if needs[0] else None)
     # the ones column of xa turns the last row into the bias gradient
-    gwxb = _gate_columns(np.matmul(xa.T, dpre)) if needs[1] or needs[3] else None
-    gwx = gwxb[:-1] if needs[1] else None
-    gwh = _gate_columns(np.matmul(hs[:-batch].T, dpre[:, batch:])) if needs[2] else None
-    gb = gwxb[-1] if needs[3] else None
+    gwxb = _gate_rows(np.matmul(xa.T, dpre)) if needs[1] or needs[3] else None
+    gwx = gwxb[:, :-1] if needs[1] else None
+    gwh = _gate_rows(np.matmul(hs[:-batch].T, dpre[:, batch:])) if needs[2] else None
+    gb = gwxb[:, -1] if needs[3] else None
     return (gx, gwx, gwh, gb, gw_head, gb_head)
 
 
@@ -561,7 +564,7 @@ def _op_check_cases(rng) -> list[tuple[str, Callable[[], tuple], dict]]:
         # pushes the finite-difference error on wh to 1e-3 while the
         # gradient is exact to rounding
         return tuple(plain(shape, 0.1, 0.6)
-                     for shape in ((6, 3), (3, 8), (2, 8), (8,), (2, 3), (3,)))
+                     for shape in ((6, 3), (8, 3), (8, 2), (8,), (3, 2), (3,)))
 
     return [
         ("lstm", lstm_inputs, {"steps": 3, "squash": True}),

@@ -198,6 +198,29 @@ def save_model(path: str | Path, model: TrainedModel) -> None:
     write_json(path, doc)
 
 
+def _list_of(types: tuple, what: str) -> tuple:
+    """A ``_MODEL_FIELDS`` check: a JSON list of entries of ``types``."""
+    return (lambda v: type(v) is list and all(type(x) in types for x in v),
+            f"a list of {what}")
+
+
+_NUMBER = (int, float)  # type(True) is bool, not int
+_INTEGER = (lambda v: type(v) is int, "a JSON integer")
+# the JSON type of every scalar and list field of a model file, by its path
+_MODEL_FIELDS = {
+    **{("net", field.name): _INTEGER for field in fields(NetConfig)},
+    ("feature_names",): _list_of((str,), "strings"),
+    ("training", "seed"): _INTEGER,
+    ("training", "epochs"): _INTEGER,
+    ("training", "learning_rate"): (lambda v: type(v) in _NUMBER and math.isfinite(v),
+                                    "a finite JSON number"),
+    ("training", "final_losses"): _list_of(_NUMBER, "JSON numbers"),
+    ("scaler", "mins"): _list_of(_NUMBER, "JSON numbers"),
+    ("scaler", "maxs"): _list_of(_NUMBER, "JSON numbers"),
+    ("scaler", "constant"): _list_of((bool,), "JSON booleans"),
+}
+
+
 def load_model(path: str | Path) -> TrainedModel:
     doc = read_json(path)
     version = doc.get("format_version")
@@ -206,17 +229,14 @@ def load_model(path: str | Path) -> TrainedModel:
             f"{path}: format_version {version!r} unsupported "
             f"(expected {MODEL_FORMAT_VERSION})"
         )
-    net_doc, names = doc.get("net"), doc.get("feature_names")
-    for key in (field.name for field in fields(NetConfig)):
-        # type(True) is bool, not int; a net that is no object fails below
-        if isinstance(net_doc, dict) and type(net_doc.get(key)) is not int:
-            raise FormatError(f"{path}: net.{key} must be a JSON integer, "
-                              f"got {net_doc.get(key)!r}")
-    if type(names) is not list or any(type(name) is not str for name in names):
-        raise FormatError(f"{path}: feature_names must be a list of strings, got {names!r}")
+    for where, (ok, what) in _MODEL_FIELDS.items():
+        owner = doc.get(where[0]) if len(where) == 2 else doc
+        # a block that is no object fails below
+        if isinstance(owner, dict) and not ok(value := owner.get(where[-1])):
+            raise FormatError(f"{path}: {'.'.join(where)} must be {what}, got {value!r}")
     try:
-        net = NetConfig(**net_doc)
-        names = tuple(names)
+        net = NetConfig(**doc["net"])
+        names = tuple(doc["feature_names"])
         scaler = ScalerParams(
             feature_names=names,
             mins=np.array(doc["scaler"]["mins"], dtype=np.float64),
@@ -225,12 +245,9 @@ def load_model(path: str | Path) -> TrainedModel:
         )
         arrays = {name: _array_from_json(obj) for name, obj in doc["params"].items()}
         training = doc["training"]
-        meta = dict(
-            seed=int(training["seed"]),
-            epochs=int(training["epochs"]),
-            learning_rate=float(training["learning_rate"]),
-            final_losses=tuple(float(v) for v in training["final_losses"]),
-        )
+        meta = dict(seed=training["seed"], epochs=training["epochs"],
+                    learning_rate=float(training["learning_rate"]),
+                    final_losses=tuple(float(v) for v in training["final_losses"]))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"{path}: malformed model file: {exc!r}") from None
     if any(np.shape(v) != (net.n_features,)

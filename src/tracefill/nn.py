@@ -37,10 +37,10 @@ fold, so every result is bit-identical whether a run has one CPU or two.
 The parameters are one table of ten named arrays, spelled out only in
 ``param_shapes``: training writes it, the model file stores it and
 reconstruction reads it frozen. ``lift_params`` puts each array on a tape
-once as a plain leaf, matrices transposed to the ``[in, out]`` layout the
-forward pass multiplies by, and the layers look their weights up by name.
-A training chunk's backward names those ten leaves, a reconstruction's the
-series leaf.
+once as a plain leaf, in that stored layout, which is the one the ``lstm``
+op takes, and the layers look their weights up by name. A training chunk's
+backward names those ten leaves and returns their gradients in the same
+layout, a reconstruction's names the series leaf.
 """
 
 from __future__ import annotations
@@ -148,12 +148,11 @@ def init_params(config: NetConfig, seed: int) -> AutoencoderParams:
 def lift_params(tape: Tape, params: AutoencoderParams) -> dict[str, Var]:
     """Register every parameter array as one leaf of ``tape``, keyed as ``params``.
 
-    Matrices are lifted transposed, ``[in, out]``, the layout the forward
-    pass multiplies by, so a matrix leaf's gradient is the transpose of
-    the storage-layout gradient. The leaves are frozen unless a backward
-    names them in its ``wrt``.
+    Each array is lifted as stored, the layout the ``lstm`` op takes, so a
+    leaf's gradient has its array's shape. The leaves are frozen unless a
+    backward names them in its ``wrt``.
     """
-    return {name: tape.leaf(arr.T) for name, arr in params.items()}
+    return {name: tape.leaf(arr) for name, arr in params.items()}
 
 
 def forward_steps(tape: Tape, net: dict[str, Var], x: Var, steps: int) -> Var:
@@ -217,9 +216,7 @@ def _chunk(params: AutoencoderParams, series: np.ndarray, seq_len: int,
             return value, None
         if wrt == "series":
             return value, tape.backward(loss, [leaf])[0]
-        # matrices were lifted transposed; .T returns them in storage layout
-        grads = tape.backward(loss, list(net.values()))
-        return value, {name: grad.T for name, grad in zip(net, grads)}
+        return value, dict(zip(net, tape.backward(loss, list(net.values()))))
 
 
 def _outcomes(params: AutoencoderParams, series: np.ndarray, seq_len: int,
@@ -385,7 +382,7 @@ def windowed_objective(params: AutoencoderParams, series: np.ndarray, seq_len: i
 
     Returns ``(loss, result)``, where ``result`` depends on ``wrt``:
 
-    - ``"params"``: the ten parameter gradients, in storage layout;
+    - ``"params"``: the ten parameter gradients, C-contiguous, in storage layout;
     - ``"series"``: the [T, n] gradient of the series (parameters frozen);
     - ``None``: no backward; the output windows merged by overlap mean, [T, n].
 
@@ -436,14 +433,13 @@ def windowed_objective(params: AutoencoderParams, series: np.ndarray, seq_len: i
             loss_sum += value
             if wrt is not None and not np.isfinite(loss_sum):
                 return loss_sum, None
-            if wrt == "params":
-                if result is None:
-                    result = part
-                else:
-                    for name, grad in part.items():
-                        result[name] += grad
-            else:
+            if wrt != "params":
                 result[rows] += part
+            elif result is None:
+                result = part
+            else:
+                for name, grad in part.items():
+                    result[name] += grad
     if wrt is None:
         result /= coverage_counts(T, seq_len)[:, None]
     return loss_sum, result

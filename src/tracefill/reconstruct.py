@@ -1,23 +1,23 @@
 """Recover completely missing feature columns with a frozen autoencoder.
 
-The trained network and scaler stay untouched. Each missing feature
-becomes a length-T optimization variable (one shared value per time step,
+The trained network and scaler stay untouched. The k missing features
+form one [T, k] optimization variable (one shared value per time step,
 no matter how many windows overlap it). Every epoch
 
-  1. assembles the full scaled [T, n] series in numpy from the available
-     columns and the current missing-column estimates, and
+  1. writes that block into the missing columns of the scaled [T, n]
+     series, whose available columns are scaled once, and
   2. scores it with ``nn.windowed_objective``, the objective training
      minimizes too: every stride-1 window through the autoencoder, with
      the user's weights on the available features and weight 0 on the
      missing ones, recorded one chunk of windows per tape.
 
 The objective returns the gradient of the whole series, and Adam updates
-the missing columns of it alone. Window extraction is the tape's
+the block with its missing columns. Window extraction is the tape's
 ``windows`` op, whose backward adds every window's gradient back onto the
 samples, so a sample covered by several windows accumulates all their
 contributions, across chunk boundaries too. The loss is one
 ``weighted_mse`` op per chunk, which never reads a missing column, and
-the missing columns of the series come from the estimates only, so the
+the missing columns of the series come from the block only, so the
 data's own values there cannot enter. The epochs and the final pass run
 inside ``nn.chunk_helper``, so a second CPU takes every other chunk.
 
@@ -132,7 +132,7 @@ def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
 
     ``data`` must contain every available feature; columns named in
     ``spec.missing`` may be absent and are ignored when present. Returns
-    estimates in data units along with the loss trajectory. Raises
+    the missing columns in data units along with the loss trajectory. Raises
     ``DivergenceError`` when an epoch's loss, or a returned column in data
     units, is not finite.
     """
@@ -144,47 +144,45 @@ def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
     ]
     epochs = spec.resolved_epochs()
 
-    T = data.n_samples
-    miss_idx = {m: names.index(m) for m in spec.missing}
-    series = np.empty((T, len(names)))
-    for n in available:
-        series[:, names.index(n)] = model.scaler.transform_columns(
-            data.column(n)[:, None], [n]).ravel()
-    init_value = 0.0 if spec.init == "zeros" else 0.5
-    estimates = {m: np.full(T, init_value) for m in spec.missing}
+    # the [T, k] block of the k missing columns, in ``spec.missing`` order
+    missing = [names.index(m) for m in spec.missing]
+    series = np.empty((data.n_samples, len(names)))
+    series[:, [names.index(n) for n in available]] = model.scaler.transform_columns(
+        np.column_stack([data.column(n) for n in available]), available)
+    estimate = np.full((data.n_samples, len(missing)),
+                       0.0 if spec.init == "zeros" else 0.5)
 
     adam = Adam(spec.learning_rate)
     history: list[float] = []
 
-    def objective(current: Mapping[str, np.ndarray], wrt: str | None):
-        for m, j in miss_idx.items():
-            series[:, j] = current[m]
+    def objective(current: np.ndarray, wrt: str | None):
+        series[:, missing] = current
         return windowed_objective(model.params, series, model.net.seq_len, weights, wrt)
 
     with chunk_helper():
         for epoch in range(epochs):
-            value, grad = objective(estimates, "series")
+            value, grad = objective(estimate, "series")
             if not np.isfinite(value):
                 raise DivergenceError(f"non-finite loss in epoch {epoch}")
-            estimates = adam.step(estimates, {m: grad[:, j] for m, j in miss_idx.items()})
+            estimate = adam.step({"block": estimate}, {"block": grad[:, missing]})["block"]
             history.append(value)
-        final_loss, recon_scaled = objective(estimates, None)
+        final_loss, recon_scaled = objective(estimate, None)
     initial_loss = history[0] if history else final_loss
 
-    def to_data(m: str, scaled: np.ndarray, what: str) -> np.ndarray:
+    def to_data(scaled: np.ndarray, what: str) -> dict[str, np.ndarray]:
         # an estimate that ran off to ~1e308 overflows in data units
         with np.errstate(over="ignore", invalid="ignore"):
-            values = model.scaler.inverse_transform_columns(scaled[:, None], [m]).ravel()
-        if not np.isfinite(values).all():
-            raise DivergenceError(f"non-finite {what} of {m!r} in data units")
-        return values
+            values = model.scaler.inverse_transform_columns(scaled, spec.missing)
+        finite = np.isfinite(values).all(axis=0)
+        if not finite.all():
+            raise DivergenceError(f"non-finite {what} of "
+                                  f"{spec.missing[int(np.argmin(finite))]!r} in data units")
+        # rows of a transposed copy: each column contiguous, none a view of another
+        return dict(zip(spec.missing, values.T.copy()))
 
     return ReconstructionResult(
-        x_miss={m: to_data(m, estimates[m], "estimate") for m in spec.missing},
-        x_hat_miss={
-            m: to_data(m, recon_scaled[:, j], "network output")
-            for m, j in miss_idx.items()
-        },
+        x_miss=to_data(estimate, "estimate"),
+        x_hat_miss=to_data(recon_scaled[:, missing], "network output"),
         loss_history=tuple(history),
         initial_loss=initial_loss,
         final_loss=final_loss,

@@ -64,16 +64,6 @@ def _epoch_order(epoch: int, n_datasets: int) -> list[int]:
     return [(epoch + j) % n_datasets for j in range(n_datasets)]
 
 
-def _dataset_loss_and_grads(params: AutoencoderParams, scaled: np.ndarray,
-                            seq_len: int):
-    """Pooled window MSE over one dataset plus the parameter gradients.
-
-    The gradients are None when the loss is not finite.
-    """
-    n = scaled.shape[1]
-    return windowed_objective(params, scaled, seq_len, np.full(n, 1.0 / n), "params")
-
-
 def train(datasets: Sequence[preprocess.TimeSeriesSet],
           config: TrainConfig) -> tuple[TrainedModel, list[HistoryRow]]:
     """Train a fresh autoencoder on the given datasets.
@@ -101,6 +91,7 @@ def train(datasets: Sequence[preprocess.TimeSeriesSet],
     scaled = [preprocess.transform(scaler, d).values for d in datasets]
 
     params = init_params(config.net, config.seed)
+    pooled = np.full(len(names), 1.0 / len(names))  # weights of the pooled window MSE
     adam = Adam(config.learning_rate)
     history: list[HistoryRow] = []
     last_loss = [float("nan")] * len(datasets)
@@ -108,8 +99,8 @@ def train(datasets: Sequence[preprocess.TimeSeriesSet],
     with chunk_helper():
         for epoch in range(config.epochs):
             for idx in _epoch_order(epoch, len(datasets)):
-                value, grads = _dataset_loss_and_grads(params, scaled[idx],
-                                                       config.net.seq_len)
+                value, grads = windowed_objective(params, scaled[idx], config.net.seq_len,
+                                                  pooled, "params")
                 if not np.isfinite(value):
                     raise DivergenceError(
                         f"non-finite loss on dataset {idx} in epoch {epoch}"

@@ -43,7 +43,7 @@ def zero_lstm(tape, x, h, b_head):
     """The six inputs of an ``lstm`` whose four weight leaves (made here) are
     all 0, so every hidden state is exactly 0 (gates 0.5, candidate 0) and
     the output is ``b_head`` in every row, squashed or not."""
-    shapes = ((x.shape[1], 4 * h), (h, 4 * h), (4 * h,), (h, b_head.shape[0]))
+    shapes = ((4 * h, x.shape[1]), (4 * h, h), (4 * h,), (b_head.shape[0], h))
     return [x, *(tape.leaf(np.zeros(s)) for s in shapes), b_head]
 
 
@@ -62,23 +62,23 @@ class TestHandDerivedGradients:
     def test_head_gradients_through_sum(self):
         # pre-activations of +-800 saturate every gate: i = o = 1, f = 0
         # and the candidate 1, exactly, so c = 1 and h = tanh(1) at both
-        # steps, and every gate slope is exactly 0. loss = sum(hs @ w_head +
-        # b_head) then gives w_head the column sums of hs, 2 tanh(1), b_head
-        # the row count, and every lstm input exactly 0.
+        # steps, and every gate slope is exactly 0. loss = sum(hs @ w_head.T
+        # + b_head) then gives each row of w_head the column sums of hs,
+        # 2 tanh(1), b_head the row count, and every lstm input exactly 0.
         h, p = 2, 3
         bias = np.zeros(4 * h)
         bias[:h], bias[h:2 * h], bias[3 * h:] = 800.0, -800.0, 800.0  # i, f, o
-        wx = np.zeros((1, 4 * h))
-        wx[0, 2 * h:3 * h] = 800.0  # candidate
-        inputs = [np.ones((2, 1)), wx, np.full((h, 4 * h), 0.5), bias,
-                  np.arange(h * p, dtype=float).reshape(h, p), np.full(p, -1.0)]
+        wx = np.zeros((4 * h, 1))
+        wx[2 * h:3 * h, 0] = 800.0  # candidate
+        inputs = [np.ones((2, 1)), wx, np.full((4 * h, h), 0.5), bias,
+                  np.arange(p * h, dtype=float).reshape(p, h), np.full(p, -1.0)]
 
         def build(tape):
             leaves = [tape.leaf(v) for v in inputs]
             return tape.sum(tape.lstm(*leaves, steps=2, squash=False)), *leaves
 
         gx, gwx, gwh, gbias, gw_head, gb_head = grads_of(build)
-        np.testing.assert_array_equal(gw_head, np.full((h, p), 2.0 * np.tanh(1.0)))
+        np.testing.assert_array_equal(gw_head, np.full((p, h), 2.0 * np.tanh(1.0)))
         np.testing.assert_array_equal(gb_head, [2.0, 2.0, 2.0])
         for grad, value in zip((gx, gwx, gwh, gbias), inputs):
             np.testing.assert_array_equal(grad, np.zeros_like(value))
@@ -141,8 +141,8 @@ class TestHandDerivedGradients:
         # holding the same values, and to rounding against the reference
         rng = np.random.default_rng(5)
         h, steps = 2, 3
-        x, w = rng.uniform(-1.0, 1.0, (2 * steps, h)), rng.uniform(-0.8, 0.8, (h, 4 * h))
-        bias, w_head = rng.uniform(-0.5, 0.5, 4 * h), rng.uniform(-0.8, 0.8, (h, 2))
+        x, w = rng.uniform(-1.0, 1.0, (2 * steps, h)), rng.uniform(-0.8, 0.8, (4 * h, h))
+        bias, w_head = rng.uniform(-0.5, 0.5, 4 * h), rng.uniform(-0.8, 0.8, (2, h))
         b_head = rng.uniform(-0.5, 0.5, 2)
 
         def build(tape, shared):
@@ -304,20 +304,22 @@ class TestTapeMechanics:
 def reference_lstm(x, wx, wh, bias, w_head, b_head, steps, squash, g):
     """Per-step LSTM and its head in plain numpy: forward, then backprop of g.
 
-    The algebra of a composite step: pre = x_t wx + h_{t-1} wh + bias, gate
-    blocks (i, f, candidate, o), logistic gates, c_t = f c_{t-1} + i cand,
-    h_t = o tanh(c_t), zero initial state. The head maps the stacked hidden
-    states to hs w_head + b_head, through tanh if ``squash``. Returns that
-    output and the gradients of x, wx, wh, bias, w_head and b_head.
+    The weights are in the model file's layout: wx [4h, in], wh [4h, h],
+    w_head [p, h]. The algebra of a composite step: pre = x_t wx^T +
+    h_{t-1} wh^T + bias, gate blocks (i, f, candidate, o), logistic gates,
+    c_t = f c_{t-1} + i cand, h_t = o tanh(c_t), zero initial state. The
+    head maps the stacked hidden states to hs w_head^T + b_head, through
+    tanh if ``squash``. Returns that output and the gradients of x, wx, wh,
+    bias, w_head and b_head.
     """
-    batch, h = x.shape[0] // steps, wh.shape[0]
+    batch, h = x.shape[0] // steps, wh.shape[1]
 
     def logistic(z):
         return 1.0 / (1.0 + np.exp(-z))
 
     hs, cs, cache = [np.zeros((batch, h))], [np.zeros((batch, h))], []
     for t in range(steps):
-        pre = x[t * batch:(t + 1) * batch] @ wx + hs[-1] @ wh + bias
+        pre = x[t * batch:(t + 1) * batch] @ wx.T + hs[-1] @ wh.T + bias
         i, f = logistic(pre[:, :h]), logistic(pre[:, h:2 * h])
         cand, o = np.tanh(pre[:, 2 * h:3 * h]), logistic(pre[:, 3 * h:])
         c = f * cs[-1] + i * cand
@@ -325,12 +327,12 @@ def reference_lstm(x, wx, wh, bias, w_head, b_head, steps, squash, g):
         cs.append(c)
         hs.append(o * np.tanh(c))
     hs_stack = np.concatenate(hs[1:])
-    out = hs_stack @ w_head + b_head
+    out = hs_stack @ w_head.T + b_head
     if squash:
         out = np.tanh(out)
         g = g * (1.0 - out ** 2)
-    gw_head, gb_head = hs_stack.T @ g, g.sum(axis=0)
-    g = g @ w_head.T
+    gw_head, gb_head = g.T @ hs_stack, g.sum(axis=0)
+    g = g @ w_head
 
     gx, gwx = np.zeros_like(x), np.zeros_like(wx)
     gwh, gb = np.zeros_like(wh), np.zeros_like(bias)
@@ -346,12 +348,17 @@ def reference_lstm(x, wx, wh, bias, w_head, b_head, steps, squash, g):
             dc * i * (1.0 - cand ** 2),
             dh * tanh_c * o * (1.0 - o),
         ], axis=1)
-        gx[rows] = dpre @ wx.T
-        gwx += x[rows].T @ dpre
-        gwh += hs[t].T @ dpre
+        gx[rows] = dpre @ wx
+        gwx += dpre.T @ x[rows]
+        gwh += dpre.T @ hs[t]
         gb += dpre.sum(axis=0)
-        dh_next, dc_next = dpre @ wh.T, dc * f
+        dh_next, dc_next = dpre @ wh, dc * f
     return out, (gx, gwx, gwh, gb, gw_head, gb_head)
+
+
+# x, wx, wh, bias, w_head and b_head of an lstm of h = 2 over 3 inputs with
+# a head of width 3, in the storage layout; rows split into 3 steps
+CONFORMING_LSTM_SHAPES = ((6, 3), (8, 3), (8, 2), (8,), (3, 2), (3,))
 
 
 def relative_error(got, expected):
@@ -366,8 +373,9 @@ class TestLSTMOp:
     @pytest.mark.parametrize(
         "batch,n_in,h,lifted",
         [(1, 3, 4, False), (4, 3, 4, False),
-         # the production width, wx and wh passed the way lift_params
-         # passes them: transposes of [4h, in] and [4h, h] storage arrays
+         # the production width, the weights drawn in the storage layout
+         # lift_params passes on; the others are drawn [in, 4h], [h, 4h]
+         # and [h, p] and passed as their transposes, which are views
          (4, 4, 16, True), (4, 2, 16, True)],
         ids=["1", "4", "lifted-in4-h16", "lifted-in2-h16"])
     @pytest.mark.parametrize("wrt", ["x", "weights"])
@@ -376,13 +384,13 @@ class TestLSTMOp:
         p = 3
         x = rng.uniform(-1.0, 1.0, (steps * batch, n_in))
         if lifted:
-            wx = rng.uniform(-0.8, 0.8, (4 * h, n_in)).T
-            wh = rng.uniform(-0.8, 0.8, (4 * h, h)).T
-            w_head = rng.uniform(-0.8, 0.8, (p, h)).T
+            wx = rng.uniform(-0.8, 0.8, (4 * h, n_in))
+            wh = rng.uniform(-0.8, 0.8, (4 * h, h))
+            w_head = rng.uniform(-0.8, 0.8, (p, h))
         else:
-            wx = rng.uniform(-0.8, 0.8, (n_in, 4 * h))
-            wh = rng.uniform(-0.8, 0.8, (h, 4 * h))
-            w_head = rng.uniform(-0.8, 0.8, (h, p))
+            wx = rng.uniform(-0.8, 0.8, (n_in, 4 * h)).T
+            wh = rng.uniform(-0.8, 0.8, (h, 4 * h)).T
+            w_head = rng.uniform(-0.8, 0.8, (h, p)).T
         inputs = [x, wx, wh, rng.uniform(-0.5, 0.5, 4 * h), w_head,
                   rng.uniform(-0.5, 0.5, p)]
         # the loss is weighted_mse(target, out, ones), whose gradient on out
@@ -409,11 +417,11 @@ class TestLSTMOp:
     def test_zero_state_step_never_reads_the_forget_gate(self):
         # one step from a zero state: the forget gate multiplies a zero cell,
         # so its weights cannot reach the output or the x gradient by a bit,
-        # and its gradient columns are exactly zero
+        # and its gradient rows are exactly zero
         rng = np.random.default_rng(9)
         h, forget = 3, slice(3, 6)  # GATE_ORDER block 1
         x = rng.uniform(-1.0, 1.0, (4, 2))
-        wx, wh = rng.uniform(-0.8, 0.8, (2, 4 * h)), rng.uniform(-0.8, 0.8, (h, 4 * h))
+        wx, wh = rng.uniform(-0.8, 0.8, (4 * h, 2)), rng.uniform(-0.8, 0.8, (4 * h, h))
         bias = rng.uniform(-0.5, 0.5, 4 * h)
 
         def run(wx, wh, bias):
@@ -427,17 +435,17 @@ class TestLSTMOp:
         out, grads = run(wx, wh, bias)
         other = [w.copy() for w in (wx, wh, bias)]
         for w in other:
-            w[..., forget] = rng.uniform(-50.0, 50.0, w[..., forget].shape)
+            w[forget] = rng.uniform(-50.0, 50.0, w[forget].shape)
         other_out, other_grads = run(*other)
         np.testing.assert_array_equal(other_out, out)
         np.testing.assert_array_equal(other_grads[0], grads[0])
         for g in grads[1:] + other_grads[1:]:
-            assert not g[..., forget].any()
+            assert not g[forget].any()
 
     def test_arena_residuals_expire_at_the_next_opening(self):
         tape = Tape()
-        inputs = (np.ones((4, 2)), np.full((2, 8), 0.1), np.full((2, 8), 0.1), np.zeros(8),
-                  np.full((2, 1), 0.1), np.zeros(1))
+        inputs = (np.ones((4, 2)), np.full((8, 2), 0.1), np.full((8, 2), 0.1), np.zeros(8),
+                  np.full((1, 2), 0.1), np.zeros(1))
         leaves = [tape.leaf(v) for v in inputs]
         with lstm_arena():
             loss = tape.sum(tape.lstm(*leaves, steps=2, squash=True))
@@ -455,8 +463,8 @@ class TestLSTMOp:
         h = 2
         tape = Tape()
         x = tape.leaf(np.ones((6, 1)))
-        wx = tape.leaf(np.zeros((1, 4 * h)))
-        wh = tape.leaf(np.zeros((h, 4 * h)))
+        wx = tape.leaf(np.zeros((4 * h, 1)))
+        wh = tape.leaf(np.zeros((4 * h, h)))
         bias = tape.leaf(np.tile([800.0, -800.0], 4 * h // 2))
         # the identity head returns the hidden states bit for bit
         w_head = tape.leaf(np.eye(h))
@@ -470,33 +478,43 @@ class TestLSTMOp:
         for grad in grads:
             assert np.isfinite(grad).all()
 
+    def test_conforming_shapes_record(self):
+        # the set every shape case below changes in one place: h = 2 over 3
+        # inputs, a head of width 3, 3 steps of 2 rows
+        tape = Tape()
+        out = tape.lstm(*(tape.leaf(np.ones(s)) for s in CONFORMING_LSTM_SHAPES),
+                        steps=3, squash=True)
+        assert out.shape == (6, 3)
+
     @pytest.mark.parametrize(
         "x_shape,wx_shape,wh_shape,bias_shape,steps",
         [
-            ((6, 3), (3, 8), (2, 8), (8,), 4),  # rows do not split into steps
-            ((6, 3), (3, 8), (2, 8), (8,), 0),
-            ((6, 3), (2, 8), (2, 8), (8,), 3),  # wx rows != input width
-            ((6, 3), (3, 8), (2, 6), (8,), 3),  # wh not [h, 4h]
-            ((6, 3), (3, 8), (2, 8), (6,), 3),  # bias not [4h]
-            ((6,), (3, 8), (2, 8), (8,), 3),
+            ((6, 3), (8, 3), (8, 2), (8,), 4),  # rows do not split into steps
+            ((6, 3), (8, 3), (8, 2), (8,), 0),  # no step
+            ((6, 3), (8, 2), (8, 2), (8,), 3),  # wx columns != input width
+            ((6, 3), (8, 3), (6, 2), (8,), 3),  # wh not [4h, h]
+            ((6, 3), (8, 3), (8, 2), (6,), 3),  # bias not [4h]
+            ((6,), (8, 3), (8, 2), (8,), 3),  # x not 2-D
         ],
     )
     def test_wrong_shapes_raise(self, x_shape, wx_shape, wh_shape, bias_shape, steps):
         tape = Tape()
-        args = [tape.leaf(np.ones(s)) for s in (x_shape, wx_shape, wh_shape, bias_shape,
-                                                (wh_shape[0], 3), (3,))]
+        head = CONFORMING_LSTM_SHAPES[4:]
+        args = [tape.leaf(np.ones(s))
+                for s in (x_shape, wx_shape, wh_shape, bias_shape, *head)]
         with pytest.raises(ShapeError):
             tape.lstm(*args, steps=steps, squash=True)
 
     @pytest.mark.parametrize(
         "w_head_shape,b_head_shape",
-        [((3, 2), (2,)), ((2,), (2,)), ((2, 2), (3,)), ((2, 2), (1, 2))],
+        # w_head-rows: rows of 3 weights, not h = 2
+        [((3, 3), (3,)), ((3,), (3,)), ((3, 2), (2,)), ((3, 2), (1, 3))],
         ids=["w_head-rows", "w_head-1d", "b_head-width", "b_head-2d"])
     def test_wrong_head_shapes_raise(self, w_head_shape, b_head_shape):
-        # an lstm of h = 2 over 3 inputs; only the head does not conform
+        # only the head does not conform
         tape = Tape()
-        args = [tape.leaf(np.ones(s)) for s in ((6, 3), (3, 8), (2, 8), (8,),
-                                                w_head_shape, b_head_shape)]
+        args = [tape.leaf(np.ones(s))
+                for s in (*CONFORMING_LSTM_SHAPES[:4], w_head_shape, b_head_shape)]
         with pytest.raises(ShapeError):
             tape.lstm(*args, steps=3, squash=True)
 
@@ -517,10 +535,10 @@ class TestGradCheckHarness:
         # readout, and the weighted loss against the windows themselves
         rng = np.random.default_rng(11)
         h = 3
-        enc = [rng.uniform(-0.8, 0.8, s) for s in ((4, 4 * h), (h, 4 * h), (4 * h,),
-                                                   (h, 1), (1,))]
-        dec = [rng.uniform(-0.8, 0.8, s) for s in ((1, 4 * h), (h, 4 * h), (4 * h,),
-                                                   (h, 4), (4,))]
+        enc = [rng.uniform(-0.8, 0.8, s) for s in ((4 * h, 4), (4 * h, h), (4 * h,),
+                                                   (1, h), (1,))]
+        dec = [rng.uniform(-0.8, 0.8, s) for s in ((4 * h, 1), (4 * h, h), (4 * h,),
+                                                   (4, h), (4,))]
 
         def f(tape, series):
             x = tape.windows(series, 2)
@@ -570,8 +588,8 @@ class TestGradientProperties:
         # the row count, 2, since sum passes ones through a linear head
         rng = np.random.default_rng(3)
         h = 2
-        weights = [[rng.uniform(-0.8, 0.8, s) for s in ((3, 4 * h), (h, 4 * h), (4 * h,),
-                                                         (h, 3))] for _ in range(2)]
+        weights = [[rng.uniform(-0.8, 0.8, s) for s in ((4 * h, 3), (4 * h, h), (4 * h,),
+                                                         (3, h))] for _ in range(2)]
 
         def bias_grads(shared):
             tape = Tape()

@@ -438,10 +438,12 @@ class TestReconstruct:
             (("net", "seq_len"), True, "net.seq_len must be a JSON integer, got True"),
             (("net", "lstm_hidden"), 4.0, "net.lstm_hidden must be a JSON integer"),
             (("feature_names", 0), 1, "feature_names must be a list of strings"),
+            # read as seed 1 before the training block was checked
+            (("training", "seed"), 1.7, "training.seed must be a JSON integer, got 1.7"),
         ],
         ids=["nan-param", "inf-param", "nan-mins", "maxs-below-mins", "constant-flag",
              "repeated-name", "float-seq_len", "bool-seq_len", "float-hidden",
-             "int-name"],
+             "int-name", "float-seed"],
     )
     def test_corrupt_model_values_fail_validation(self, pipeline, tmp_path, capsys,
                                                   where, value, message):

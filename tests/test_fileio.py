@@ -168,9 +168,27 @@ class TestModelJSON:
             (("net", "latent_dim"), "2", "net.latent_dim must be a JSON integer, got '2'"),
             (("feature_names",), [1, 2, 3], "feature_names must be a list of strings"),
             (("feature_names",), "abc", "feature_names must be a list of strings"),
+            # each of these read as a plausible value before it was checked
+            (("training", "seed"), 1.7, "training.seed must be a JSON integer, got 1.7"),
+            (("training", "seed"), True, "training.seed must be a JSON integer, got True"),
+            (("training", "epochs"), "12",
+             "training.epochs must be a JSON integer, got '12'"),
+            (("training", "learning_rate"), "0.001",
+             "training.learning_rate must be a finite JSON number, got '0.001'"),
+            (("training", "learning_rate"), float("nan"),
+             "training.learning_rate must be a finite JSON number, got nan"),
+            (("training", "final_losses"), ["0.5", "0.25"],
+             "training.final_losses must be a list of JSON numbers, got ['0.5', '0.25']"),
+            (("scaler", "constant"), [0, 0, 1],
+             "scaler.constant must be a list of JSON booleans, got [0, 0, 1]"),
+            (("scaler", "mins"), ["-1.0", "-2.0", "0.5"],
+             "scaler.mins must be a list of JSON numbers, got ['-1.0', '-2.0', '0.5']"),
+            (("scaler", "maxs"), 1.0, "scaler.maxs must be a list of JSON numbers, got 1.0"),
         ],
         ids=["float-seq_len", "bool-seq_len", "float-hidden", "string-latent",
-             "int-names", "string-names"],
+             "int-names", "string-names", "float-seed", "bool-seed", "string-epochs",
+             "string-lr", "nan-lr", "string-losses", "int-constant", "string-mins",
+             "scalar-maxs"],
     )
     def test_mistyped_net_field_or_names_are_rejected(self, tmp_path, where, value,
                                                       message):

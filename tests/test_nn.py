@@ -93,14 +93,14 @@ class TestInitialization:
                 bound = 1.0 / math.sqrt(arr.shape[1])
                 assert np.abs(arr).max() <= bound
 
-    def test_lifted_leaves_follow_the_table_in_matmul_layout(self):
+    def test_lifted_leaves_follow_the_table_in_storage_layout(self):
         config = NetConfig(n_features=3, lstm_hidden=5, latent_dim=2)
         params = init_params(config, seed=3)
         net = lift_params(Tape(), params)
         assert list(net) == list(params.as_dict()) == list(param_shapes(config))
-        # matrices go on the tape as [in, out]; biases as stored
+        # every array goes on the tape as stored, the layout the lstm op takes
         for name, arr in params.items():
-            np.testing.assert_array_equal(net[name].value, arr.T)
+            np.testing.assert_array_equal(net[name].value, arr)
 
     def test_from_dict_orders_by_the_table_and_rejects_a_missing_array(self):
         arrays = init_params(NetConfig(), seed=3).as_dict()
@@ -122,7 +122,7 @@ class TestInitialization:
 def encoder_states(tape, net, x, steps):
     """The encoder's hidden states: its ``lstm`` op with an identity head,
     ``hs @ I + 0`` without a squash, which returns them bit for bit."""
-    h = net["encoder.wh"].shape[0]
+    h = net["encoder.wh"].shape[1]
     return tape.lstm(x, net["encoder.wx"], net["encoder.wh"], net["encoder.bias"],
                      tape.leaf(np.eye(h)), tape.leaf(np.zeros(h)), steps, squash=False)
 
@@ -255,12 +255,12 @@ class TestAutoencoderForward:
 
         def f(tape, wx):
             net = lift_params(tape, base)
-            # swap the encoder input weights, lifted [in, 4h], for the checked leaf
+            # swap the encoder input weights, lifted as stored, for the checked leaf
             net["encoder.wx"] = wx
             out = forward_window(tape, net, tape.leaf(window))
             return tape.weighted_mse(tape.leaf(np.zeros((3, 2))), out, np.ones(2))
 
-        err = grad_check(f, base["encoder.wx"].T, eps=1e-6)
+        err = grad_check(f, base["encoder.wx"], eps=1e-6)
         assert err < 1e-5
 
 
@@ -274,8 +274,7 @@ def whole_series(params, series, seq_len, weights, wrt):
         return loss.item(), overlap_mean_values(y.value, seq_len)
     if wrt == "series":
         return loss.item(), tape.backward(loss, [x])[0]
-    grads = tape.backward(loss, list(net.values()))
-    return loss.item(), {name: grad.T for name, grad in zip(net, grads)}
+    return loss.item(), dict(zip(net, tape.backward(loss, list(net.values()))))
 
 
 def arrays(result):
@@ -336,6 +335,20 @@ class TestWindowedObjective:
         assert loss == ref_loss
         for got_array, ref_array in zip(arrays(got), arrays(ref), strict=True):
             np.testing.assert_array_equal(got_array, ref_array)
+
+    @pytest.mark.parametrize("T", [40, 2000])
+    def test_parameter_gradients_come_back_in_storage_layout(self, T):
+        # one chunk (T=40) or four added in place (T=2000): each gradient is
+        # a C-contiguous array of its parameter's shape, bit for bit the sum
+        # of backward over leaves that lift_params makes of the stored arrays
+        params, series = self.setup(T)
+        loss, grads = windowed_objective(params, series, 3, self.WEIGHTS, "params")
+        ref_loss, ref = chunk_by_chunk(params, series, 3, self.WEIGHTS, "params",
+                                       nn.CHUNK_WINDOWS)
+        assert loss == ref_loss and list(grads) == list(params)
+        for name, grad in grads.items():
+            assert grad.shape == params[name].shape and grad.flags.c_contiguous, name
+            np.testing.assert_array_equal(grad, ref[name])
 
     def test_non_finite_loss_returns_before_backward(self, monkeypatch):
         params, series = self.setup(40)
@@ -405,10 +418,10 @@ def chunk_by_chunk(params, series, seq_len, weights, wrt, chunk):
             continue
         grads = dict(zip(net, tape.backward(loss, list(net.values()))))
         if result is None:
-            result = {name: grad.T for name, grad in grads.items()}
+            result = grads
         else:
             for name, grad in grads.items():
-                result[name] += grad.T
+                result[name] += grad
     if wrt is None:
         result /= coverage_counts(series.shape[0], seq_len)[:, None]
     return loss_sum, result
@@ -676,13 +689,13 @@ class TestChunkHelper:
         # 38 windows in chunks of 16: each update forks on its first call
         monkeypatch.setattr(nn, "CHUNK_WINDOWS", 16)
         helpers = []
-        objective = training._dataset_loss_and_grads
+        objective = training.windowed_objective
 
         def recording(*args):
             helpers.append(nn._helper.process)
             return objective(*args)
 
-        monkeypatch.setattr(training, "_dataset_loss_and_grads", recording)
+        monkeypatch.setattr(training, "windowed_objective", recording)
         config = training.TrainConfig(epochs=5, learning_rate=1e300, net=NetConfig(
             n_features=4, seq_len=3, lstm_hidden=4, latent_dim=2))
         with pytest.raises(training.DivergenceError):

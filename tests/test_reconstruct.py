@@ -5,6 +5,7 @@ reads the data's missing columns, and the optimization actually moves
 the missing series toward something the model can explain.
 """
 
+import dataclasses
 import importlib
 
 import numpy as np
@@ -18,7 +19,7 @@ from tracefill.reconstruct import (
     ReconstructionSpec,
     reconstruct,
 )
-from tracefill.training import reconstruct_series
+from tracefill.training import DivergenceError, reconstruct_series
 
 
 class TestSpecValidation:
@@ -183,6 +184,44 @@ class TestOptimization:
         T = len(toy_datasets[0].values)
         assert res.x_miss["u1"].shape == (T,)
         assert res.x_hat_miss["u2"].shape == (T,)
+
+    def test_missing_order_changes_no_bit(self, toy_model, toy_datasets):
+        # the order names the columns of the optimized [T, k] block; Adam
+        # works elementwise, so listing the features the other way round
+        # must give the same trajectory and the same columns
+        model, _ = toy_model
+        a, b = (reconstruct(model, toy_datasets[0], ReconstructionSpec(missing, epochs=10))
+                for missing in (("u1", "u2"), ("u2", "u1")))
+        assert a.loss_history == b.loss_history and a.final_loss == b.final_loss
+        for m in ("u1", "u2"):
+            np.testing.assert_array_equal(a.x_miss[m], b.x_miss[m])
+            np.testing.assert_array_equal(a.x_hat_miss[m], b.x_hat_miss[m])
+
+    def test_returned_columns_are_contiguous_and_independent(self, toy_model,
+                                                             toy_datasets):
+        # a caller may write into one column without touching another
+        model, _ = toy_model
+        spec = ReconstructionSpec(missing=("u1", "i2", "u2"), epochs=2)
+        res = reconstruct(model, toy_datasets[0], spec)
+        columns = [*res.x_miss.values(), *res.x_hat_miss.values()]
+        for k, column in enumerate(columns):
+            assert column.flags.c_contiguous
+            for other in columns[k + 1:]:
+                assert not np.may_share_memory(column, other)
+
+    def test_non_finite_column_in_data_units_is_named(self, toy_model, toy_datasets):
+        # a u2 range of 2e308 overflows the midpoint estimate to inf in data
+        # units, while u1's stays finite: the error names u2
+        model, _ = toy_model
+        scaler = model.scaler
+        col = model.feature_names.index("u2")
+        mins, maxs = scaler.mins.copy(), scaler.maxs.copy()
+        mins[col], maxs[col] = -1e308, 1e308
+        huge = dataclasses.replace(model, scaler=dataclasses.replace(
+            scaler, mins=mins, maxs=maxs))
+        spec = ReconstructionSpec(missing=("u1", "u2"), epochs=0, init="midpoint")
+        with pytest.raises(DivergenceError, match="non-finite estimate of 'u2' in data units"):
+            reconstruct(huge, toy_datasets[0], spec)
 
     def test_weights_change_the_trajectory(self, toy_model, toy_datasets):
         model, _ = toy_model

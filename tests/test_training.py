@@ -15,6 +15,7 @@ from tracefill.nn import (
     init_params,
     lift_params,
     windowed_loss,
+    windowed_objective,
 )
 from tracefill.optim import mse
 from tracefill.preprocess import TimeSeriesSet, transform, window_stack
@@ -22,7 +23,6 @@ from tracefill.reconstruct import ReconstructionSpec, reconstruct
 from tracefill.training import (
     DivergenceError,
     TrainConfig,
-    _dataset_loss_and_grads,
     evaluate_model,
     reconstruct_series,
     train,
@@ -47,20 +47,21 @@ class TestTrainConfig:
 
 class TestParameterGradients:
     def test_square_readout_gradient_is_in_storage_layout(self):
-        # n_features == lstm_hidden makes readout.weight square, so a gradient
-        # left in the lifted [in, out] layout would pass Adam's shape check
+        # n_features == lstm_hidden makes readout.weight square, so a
+        # transposed gradient would pass Adam's shape check
         assert TOY_NET.n_features == TOY_NET.lstm_hidden
         params = init_params(TOY_NET, seed=1)
         scaled = np.random.default_rng(0).uniform(0.0, 1.0, (12, 4))
-        _, grads = _dataset_loss_and_grads(params, scaled, TOY_NET.seq_len)
+        pooled = np.full(4, 0.25)  # the weights training uses
+        _, grads = windowed_objective(params, scaled, TOY_NET.seq_len, pooled, "params")
         g = grads["readout.weight"]
 
         def loss_at(delta):
             arrays = params.as_dict()
             arrays["readout.weight"] = arrays["readout.weight"].copy()
             arrays["readout.weight"][0, 2] += delta
-            return _dataset_loss_and_grads(AutoencoderParams.from_dict(arrays),
-                                           scaled, TOY_NET.seq_len)[0]
+            return windowed_objective(AutoencoderParams.from_dict(arrays), scaled,
+                                      TOY_NET.seq_len, pooled)[0]
 
         eps = 1e-6
         numeric = (loss_at(eps) - loss_at(-eps)) / (2.0 * eps)
