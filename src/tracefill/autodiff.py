@@ -1,4 +1,4 @@
-"""Tape-based reverse-mode automatic differentiation over float64 arrays.
+"""Tape-based reverse-mode automatic differentiation over float32 and float64 arrays.
 
 A :class:`Tape` records operations eagerly: every node caches its forward
 value, and :meth:`Tape.backward` walks the recording once in reverse to
@@ -7,14 +7,16 @@ call names, so one recording serves a sweep by any of its inputs. When a
 leaf feeds several consumers its gradient contributions accumulate by
 summation.
 
-Values are dense numpy float64 arrays, 1-D or 2-D (scalars are shape
-``(1,)``). Shapes are validated per operation and mismatches raise
-:class:`ShapeError` naming both shapes. The op set is closed; adding an op
-means adding a forward rule, a derivative rule, and an entry in the
-finite-difference check table below (``run_op_checks`` sweeps the table).
-A forward rule returns its value plus the residuals its derivative rule
-reuses; both live on the node, so a backward pass never recomputes the
-forward.
+Values are dense numpy arrays, 1-D or 2-D (scalars are shape ``(1,)``).
+A float32 input stays float32 and every other input becomes float64, so
+the dtype of the data decides the precision of the ops it flows through
+(see ``lstm`` and ``weighted_mse`` below). Shapes are validated per
+operation and mismatches raise :class:`ShapeError` naming both shapes.
+The op set is closed; adding an op means adding a forward rule, a
+derivative rule, and an entry in the finite-difference check table below
+(``run_op_checks`` sweeps the table). A forward rule returns its value
+plus the residuals its derivative rule reuses; both live on the node, so
+a backward pass never recomputes the forward.
 
 Shape rules per op:
 
@@ -48,6 +50,8 @@ cells, which keeps a sample's coverage count an exact integer.
 t_j)**2)`` over the columns j. It reads only the columns of positive
 weight, in the forward and in the backward, so a column of weight 0
 cannot change the loss or any gradient by a single bit, whatever it holds.
+It takes the column means in float64, so the loss is a float64 number
+whatever the dtype of its inputs.
 
 ``lstm`` runs a whole LSTM layer and the dense layer after it over a
 step-major stack: rows ``t*B .. (t+1)*B`` of ``x`` are step ``t`` of B
@@ -69,13 +73,16 @@ backward. Activations and their gradients are kept as ``[4, S*B, h]``,
 so each gate of each step is one contiguous ``[B, h]`` block. The gates'
 sigmoid is evaluated as ``0.5 + 0.5 * tanh(x / 2)``, which is finite for
 every finite ``x`` and agrees with ``1 / (1 + exp(-x))`` to within
-2.2e-16. The inner 0.5 is folded into the sigmoid blocks of the weight
-copies, where halving is exact, so one ``tanh`` over all four blocks
-serves every gate. The backward is closed-form backpropagation through
-time over the cell states and gate activations kept from the forward,
-after the head's own backward has turned the output gradient into the
-hidden states' gradient; it maps the weight gradients back to
+2.2e-16 in float64. The inner 0.5 is folded into the sigmoid blocks of
+the weight copies, where halving is exact, so one ``tanh`` over all four
+blocks serves every gate. The backward is closed-form backpropagation
+through time over the cell states and gate activations kept from the
+forward, after the head's own backward has turned the output gradient
+into the hidden states' gradient; it maps the weight gradients back to
 ``GATE_ORDER`` rows of the ``[out, in]`` layout once, after the time loop.
+The op computes in the dtype of ``x``: its weight copies, working arrays,
+output and gradients are float32 for a float32 ``x``, whatever the dtype
+of the weights, and float64 for a float64 one.
 
 Inside ``lstm_arena()`` the op keeps those residuals, the hidden states
 among them, and takes its scratch arrays, the hidden states' gradient
@@ -115,8 +122,13 @@ class NonFiniteError(FloatingPointError):
 
 
 def as_tensor(value) -> Array:
-    """Coerce to a float64 array of rank 1 or 2 (scalars become shape (1,))."""
-    arr = np.asarray(value, dtype=np.float64)
+    """Coerce to an array of rank 1 or 2 (scalars become shape (1,)).
+
+    A float32 array stays float32; anything else becomes float64.
+    """
+    arr = np.asarray(value)
+    if arr.dtype != np.float32:
+        arr = arr.astype(np.float64, copy=False)
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.ndim > 2:
@@ -182,8 +194,10 @@ GATE_ORDER = ("input", "forget", "candidate", "output")
 # results back.
 _KERNEL_GATES = [1, 0, 3, 2]
 # sigmoid(a) = 0.5 + 0.5 * tanh(a / 2): the sigmoid blocks of the weight
-# copies carry the inner 0.5, which is exact, so one tanh serves all four
-_HALF = np.array([0.5, 0.5, 0.5, 1.0]).reshape(4, 1, 1)
+# copies carry the inner 0.5, which is exact, so one tanh serves all four;
+# one copy per kernel dtype, so the product stays in that dtype
+_HALF = {dtype: np.array([0.5, 0.5, 0.5, 1.0], dtype).reshape(4, 1, 1)
+         for dtype in (np.dtype(np.float32), np.dtype(np.float64))}
 
 
 class _Arena(threading.local):
@@ -221,14 +235,15 @@ def lstm_arena():
         _arena.open, _arena.position = False, 0
 
 
-def _work(key, shape: tuple[int, ...]) -> Array:
-    """An uninitialised array: a view of arena buffer ``key``, or fresh outside one."""
+def _work(key, shape: tuple[int, ...], dtype) -> Array:
+    """An uninitialised array: a view of arena buffer ``(key, dtype)``, or fresh."""
     if not _arena.open:
-        return np.empty(shape)
+        return np.empty(shape, dtype)
     size = math.prod(shape)
+    key = key, dtype
     buf = _arena.buffers.get(key)
     if buf is None or buf.size < size:
-        buf = _arena.buffers[key] = np.empty(size)
+        buf = _arena.buffers[key] = np.empty(size, dtype)
     return buf[:size].reshape(shape)
 
 
@@ -256,24 +271,26 @@ def _fw_lstm(values, kwargs):
         raise ShapeError(f"lstm: {x.shape[0]} rows do not split into {steps} steps")
     n, n_in = x.shape
     batch = n // steps
+    dtype = x.dtype
     pos = _arena.position
     if _arena.open:
         _arena.position += 1
     # the bias is the last weight row, multiplied by a ones column of x
-    xa = _work(("xa", pos), (n, n_in + 1))
+    xa = _work(("xa", pos), (n, n_in + 1), dtype)
     xa[:, :n_in] = x
     xa[:, n_in] = 1.0
-    # contiguous [4, in+1, h] and [4, h, h] factors, sigmoid blocks halved: as
-    # transposed views the products take more than twice as long
-    wxb4, wh4 = (np.ascontiguousarray(_gate_blocks(w).transpose(0, 2, 1)) * _HALF
-                 for w in (np.hstack((wx, bias[:, None])), wh))
+    # contiguous [4, in+1, h] and [4, h, h] factors in x's dtype, sigmoid
+    # blocks halved: as transposed views the products take more than twice
+    # as long
+    wxb4, wh4 = (np.ascontiguousarray(_gate_blocks(w).transpose(0, 2, 1), dtype)
+                 * _HALF[dtype] for w in (np.hstack((wx, bias[:, None])), wh))
     # [4, S*B, h] pre-activations, overwritten by activations step by step
-    acts = np.matmul(xa, wxb4, out=_work(("acts", pos), (4, n, h)))
-    recur = _work("recur", (4, batch, h))
-    hs = _work(("hs", pos), (n, h))
-    cs = _work(("cs", pos), (n, h))
-    tanh_cs = _work(("tanh_cs", pos), (n, h))
-    tmp = _work("tmp", (batch, h))
+    acts = np.matmul(xa, wxb4, out=_work(("acts", pos), (4, n, h), dtype))
+    recur = _work("recur", (4, batch, h), dtype)
+    hs = _work(("hs", pos), (n, h), dtype)
+    cs = _work(("cs", pos), (n, h), dtype)
+    tanh_cs = _work(("tanh_cs", pos), (n, h), dtype)
+    tmp = _work("tmp", (batch, h), dtype)
     for t in range(steps):
         rows, prev = slice(t * batch, (t + 1) * batch), slice((t - 1) * batch, t * batch)
         a = acts[:, rows]
@@ -293,8 +310,8 @@ def _fw_lstm(values, kwargs):
         np.multiply(gate_o, tanh_cs[rows], out=hs[rows])
     # the head: a fresh [S*B, p] product by a contiguous copy of w_head.T (the
     # view rounds differently), then the bias, then the squash
-    out = hs @ np.ascontiguousarray(w_head.T)
-    out += b_head
+    out = hs @ np.ascontiguousarray(w_head.T, dtype)
+    out += b_head.astype(dtype, copy=False)
     if kwargs["squash"]:
         np.tanh(out, out=out)
     generation = _arena.generation if _arena.open else None
@@ -309,21 +326,23 @@ def _bw_lstm(g, out, saved, values, needs, kwargs):
     steps = kwargs["steps"]
     batch = x.shape[0] // steps
     h = wh.shape[1]
+    dtype = x.dtype
     # the head first: its weights' gradients, then the hidden states' gradient
     gz = g * (1.0 - out * out) if kwargs["squash"] else g
     gw_head = (hs.T @ gz).T if needs[4] else None
     # a product with ones: gz.sum(axis=0) over a narrow [S*B, p] gradient is 5x slower
-    gb_head = np.ones(gz.shape[0]) @ gz if needs[5] else None
-    dhs = np.matmul(gz, w_head, out=_work("dhs", hs.shape))
-    wx4 = _gate_blocks(wx)
-    wh4 = _gate_blocks(wh)
-    dpre = _work("dpre", acts.shape)
-    dh4 = _work("dh4", (4, batch, h))
-    dh = _work("dh", (batch, h))
-    dc = _work("dc", (batch, h))
+    gb_head = np.ones(gz.shape[0], dtype) @ gz if needs[5] else None
+    dhs = np.matmul(gz, w_head.astype(dtype, copy=False),
+                    out=_work("dhs", hs.shape, dtype))
+    wx4 = _gate_blocks(wx).astype(dtype, copy=False)
+    wh4 = _gate_blocks(wh).astype(dtype, copy=False)
+    dpre = _work("dpre", acts.shape, dtype)
+    dh4 = _work("dh4", (4, batch, h), dtype)
+    dh = _work("dh", (batch, h), dtype)
+    dc = _work("dc", (batch, h), dtype)
     dc[...] = 0.0
-    tmp = _work("tmp", (batch, h))
-    sig_slope = _work("sig_slope", (3, batch, h))
+    tmp = _work("tmp", (batch, h), dtype)
+    sig_slope = _work("sig_slope", (3, batch, h), dtype)
     for t in range(steps - 1, -1, -1):
         rows, prev = slice(t * batch, (t + 1) * batch), slice((t - 1) * batch, t * batch)
         if t < steps - 1:
@@ -360,7 +379,7 @@ def _bw_lstm(g, out, saved, values, needs, kwargs):
         np.multiply(cand, cand, out=tmp)
         np.subtract(1.0, tmp, out=tmp)
         d_cand *= tmp
-    gx = (np.matmul(dpre, wx4, out=_work("gx4", (4, x.shape[0], x.shape[1]))).sum(axis=0)
+    gx = (np.matmul(dpre, wx4, out=_work("gx4", (4, *x.shape), dtype)).sum(axis=0)
           if needs[0] else None)
     # the ones column of xa turns the last row into the bias gradient
     gwxb = _gate_rows(np.matmul(xa.T, dpre)) if needs[1] or needs[3] else None
@@ -400,13 +419,13 @@ def _fw_weighted_mse(values, kwargs):
     keep = np.flatnonzero(weights)
     d = output[:, keep] - target[:, keep]
     w = weights[keep]
-    return np.array([(d * d).mean(axis=0) @ w]), (keep, w, d)
+    return np.array([(d * d).mean(axis=0, dtype=np.float64) @ w]), (keep, w, d)
 
 
 def _bw_weighted_mse(g, out, saved, values, needs, kwargs):
     keep, w, d = saved
     grad = np.zeros_like(values[0])
-    grad[:, keep] = d * (2.0 / d.shape[0] * float(g.reshape(())) * w)
+    grad[:, keep] = d * (2.0 / d.shape[0] * float(g.reshape(())) * w).astype(d.dtype)
     return (-grad if needs[0] else None, grad if needs[1] else None)
 
 
@@ -449,7 +468,10 @@ class Tape:
                 raise ValueError(f"{op}: input {v!r} belongs to a different tape")
         values = [self._nodes[v.id].value for v in inputs]
         out, saved = rule.forward(values, kwargs)
-        self._nodes.append(_Node(op, tuple(v.id for v in inputs), kwargs, out, saved))
+        # tuples from lists, here and in weighted_mse: tuple() of a generator
+        # allocates 10 slots and shrinks them, which leaves one block per
+        # call on CPython's tuple free list, up to its cap of 2000
+        self._nodes.append(_Node(op, tuple([v.id for v in inputs]), kwargs, out, saved))
         return Var(self, len(self._nodes) - 1, out.shape)
 
     # Conveniences, one per op.
@@ -467,7 +489,7 @@ class Tape:
 
     def weighted_mse(self, target: Var, output: Var, weights: Sequence[float]) -> Var:
         return self.apply("weighted_mse", target, output,
-                          weights=tuple(float(w) for w in weights))
+                          weights=tuple([float(w) for w in weights]))
 
     def backward(self, loss: Var, wrt: Sequence[Var]) -> list[Array]:
         """Gradients of a scalar loss, one fresh array per leaf of ``wrt``, in order.
@@ -475,7 +497,9 @@ class Tape:
         A leaf the loss does not reach gets zeros; a Var of another tape, or
         not a leaf, raises ValueError. Derivative rules are asked only for
         inputs that depend on a ``wrt`` leaf. Repeated calls recompute from
-        scratch and are bit-identical.
+        scratch and are bit-identical. A gradient has the dtype its rules
+        computed it in, which need not be its leaf's: a float64 weight that
+        feeds a float32 ``lstm`` gets a float32 gradient.
         """
         if loss.tape is not self:
             raise ValueError("backward: loss belongs to a different tape")
@@ -500,6 +524,7 @@ class Tape:
             node = self._nodes[nid]
             if g is None or not reach[nid] or node.op == "leaf":
                 continue
+            grads[nid] = None  # consumed here: freed once its rule has run
             needs = [reach[i] for i in node.inputs]
             values = [self._nodes[i].value for i in node.inputs]
             contribs = _OPS[node.op].backward(g, node.value, node.saved, values, needs,

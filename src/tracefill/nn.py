@@ -40,13 +40,16 @@ reconstruction reads it frozen. ``lift_params`` puts each array on a tape
 once as a plain leaf, in that stored layout, which is the one the ``lstm``
 op takes, and the layers look their weights up by name. A training chunk's
 backward names those ten leaves and returns their gradients in the same
-layout, a reconstruction's names the series leaf.
+layout, a reconstruction's names the series leaf. The stored arrays are
+float64 master copies; ``windowed_objective`` lifts copies in the dtype
+of the series, so a float32 series runs the network in float32.
 """
 
 from __future__ import annotations
 
 from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass
+import math
 import os
 import signal
 import threading
@@ -55,7 +58,7 @@ from typing import Sequence
 import numpy as np
 
 # GATE_ORDER is re-exported: the gate layout of the stored LSTM arrays
-from .autodiff import GATE_ORDER, Tape, Var, lstm_arena
+from .autodiff import GATE_ORDER, Tape, Var, as_tensor, lstm_arena
 from .optim import reduced_loss
 from .preprocess import coverage_counts, window_sum
 from .rng import Xoshiro256
@@ -194,7 +197,7 @@ def windowed_loss(tape: Tape, net: dict[str, Var], series: Var,
 CHUNK_WINDOWS = 512
 
 
-def _chunk(params: AutoencoderParams, series: np.ndarray, seq_len: int,
+def _chunk(params: dict[str, np.ndarray], series: np.ndarray, seq_len: int,
            weights: np.ndarray, wrt: str | None):
     """One chunk's loss and its part of ``windowed_objective``'s result.
 
@@ -219,7 +222,7 @@ def _chunk(params: AutoencoderParams, series: np.ndarray, seq_len: int,
         return value, dict(zip(net, tape.backward(loss, list(net.values()))))
 
 
-def _outcomes(params: AutoencoderParams, series: np.ndarray, seq_len: int,
+def _outcomes(params: dict[str, np.ndarray], series: np.ndarray, seq_len: int,
               weights: np.ndarray, wrt: str | None, first: int = 0, step: int = 1):
     """``(rows, outcome)`` of chunks ``first, first + step, ...``, in that order.
 
@@ -316,18 +319,24 @@ def _helper_conn(num_windows: int):
 def _serve(conn, caller_end) -> None:
     """The helper's loop: run its share of each call that arrives on ``conn``.
 
-    A call is one message of its arguments, with the series' shape in
-    place of the series, and then the series' bytes. The helper sends the
-    ``(rows, outcome)`` of chunks 0, 2, 4, ... as each is done, a chunk's
-    exception as its outcome, and then the end marker None. The loop ends
-    at the stop message None, or at EOF when the caller has died. SIGINT
-    is ignored: an interrupt is the caller's to handle.
+    A call is one message of its arguments, with the series' shape and
+    dtype in place of the series, and then the series' bytes, which land
+    in one buffer kept across calls and grown to the largest. The helper
+    sends the ``(rows, outcome)`` of chunks 0, 2, 4, ... as each is done, a
+    chunk's exception as its outcome, and then the end marker None. The
+    loop ends at the stop message None, or at EOF when the caller has died.
+    SIGINT is ignored: an interrupt is the caller's to handle.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     caller_end.close()  # else the caller's death would leave the pipe open
+    buffer = np.empty(0, np.uint8)
     try:
-        for params, shape, seq_len, weights, wrt in iter(conn.recv, None):
-            series = np.frombuffer(conn.recv_bytes()).reshape(shape)
+        for params, shape, dtype, seq_len, weights, wrt in iter(conn.recv, None):
+            nbytes = math.prod(shape) * dtype.itemsize
+            if buffer.size < nbytes:
+                buffer = np.empty(nbytes, np.uint8)
+            conn.recv_bytes_into(buffer)
+            series = buffer[:nbytes].view(dtype).reshape(shape)
             for outcome in _outcomes(params, series, seq_len, weights, wrt, 0, 2):
                 conn.send(outcome)
             conn.send(None)
@@ -335,23 +344,24 @@ def _serve(conn, caller_end) -> None:
         return
 
 
-def _paired(conn, params: AutoencoderParams, series: np.ndarray, seq_len: int,
+def _paired(conn, params: dict[str, np.ndarray], series: np.ndarray, seq_len: int,
             weights: np.ndarray, wrt: str | None):
     """``_outcomes`` of every chunk, in chunk order, sharing pairs with the helper.
 
-    The call goes to the helper as one message and the series' raw bytes.
-    The helper runs chunks 0, 2, 4, ... and the caller 1, 3, 5, ..., each
-    while the other runs its own. The caller sends only while the helper
-    is idle, and during a call only the helper sends, so no message waits
-    on another, whatever its size. Every message of the call is received,
-    up to the end marker None, before this generator ends, early or not,
-    so the pipe is in step for the next call. When the caller's own chunk
-    ends the call, the helper still finishes its share: up to half a call
-    of wasted work, and only on a call that raises or diverges.
+    The call goes to the helper as one message and the series' raw bytes
+    in C order. The helper runs chunks 0, 2, 4, ... and the caller 1, 3,
+    5, ..., each while the other runs its own. The caller sends only while
+    the helper is idle, and during a call only the helper sends, so no
+    message waits on another, whatever its size. Every message of the call
+    is received, up to the end marker None, before this generator ends,
+    early or not, so the pipe is in step for the next call. When the
+    caller's own chunk ends the call, the helper still finishes its share:
+    up to half a call of wasted work, and only on a call that raises or
+    diverges.
     """
-    series = np.ascontiguousarray(series, dtype=np.float64)
+    series = np.ascontiguousarray(series)
     try:
-        conn.send((params, series.shape, seq_len, weights, wrt))
+        conn.send((params, series.shape, series.dtype, seq_len, weights, wrt))
         conn.send_bytes(series)
         theirs = ()
         try:
@@ -386,10 +396,22 @@ def windowed_objective(params: AutoencoderParams, series: np.ndarray, seq_len: i
     - ``"series"``: the [T, n] gradient of the series (parameters frozen);
     - ``None``: no backward; the output windows merged by overlap mean, [T, n].
 
+    The network computes in the dtype of the series: a float32 series runs
+    the ``lstm`` kernel in float32, and any other is coerced to float64 and
+    runs it in float64, bit for bit as before float32 was supported. The
+    parameters are float64 master copies: each call casts them to the
+    series' dtype once, for all its chunks, and never writes them. Each
+    chunk's loss takes its column means in float64, and the losses, the
+    [T, n] result and the parameter gradients are summed in float64, so
+    the loss and every result array are float64 whatever the kernel ran in.
+
     A chunk whose loss is not finite ends the loop before its backward
     runs, and the non-finite loss is returned with ``None``. The forward
     passes run with numpy's overflow and invalid-value warnings off: a
     diverged run reports itself through that loss, not through a warning.
+    A finite parameter beyond the series' dtype (above 3.4e38 for float32)
+    has diverged too: the call returns an infinite loss before any chunk
+    runs, with ``None``, or with an all-NaN output when ``wrt`` is None.
 
     Inside ``chunk_helper()``, a call of at least two chunks shares them
     with the scope's helper process, and the result is bit-identical to
@@ -399,28 +421,37 @@ def windowed_objective(params: AutoencoderParams, series: np.ndarray, seq_len: i
     Each chunk runs inside an ``autodiff.lstm_arena``, so the two ``lstm``
     ops keep their residuals and scratch in the buffers of the running
     thread (the helper has its own), sized by the largest chunk so far and
-    reused by every later chunk and call. Each chunk's tape is gone before
-    the next one records, as the arena needs. With fresh working arrays
-    per chunk, glibc handed the freed memory back to the kernel and the
-    next chunk faulted it in again: 690-850 minor faults per training
-    update (T=2000, hidden 16, six datasets) and 2700-5800 per 4-epoch
-    T=8000 reconstruction. With the arena, a serial training update takes
-    a median of 0 faults. The helper's fork adds about 1,950 faults to the
-    caller's first call in a scope: the caller's copy-on-write of the
-    pages it shares with the new process. A later call takes a median of
-    0-1. So a 30-update ``train`` call takes about 2,100 faults in the
-    caller (10-23 serially), a 20-epoch T=2000 reconstruction 2,170 (6-7),
-    and a 4-epoch T=8000 reconstruction 2,520-2,550 (200-300). The helper
-    takes 2,230-2,280 faults of its own in either T=2000 scope and
-    2,390-2,480 in the T=8000 one (getrusage, suite seed 7, hidden 16, one
-    BLAS thread).
+    reused by every later chunk and call (one set per dtype). Each chunk's
+    tape is gone before the next one records, as the arena needs. With
+    fresh working arrays per chunk, glibc handed the freed memory back to
+    the kernel and the next chunk faulted it in again: 690-850 minor
+    faults per float64 training update (T=2000, hidden 16, six datasets)
+    and 2700-5800 per 4-epoch T=8000 reconstruction. With the arena, a
+    call after the first of a process takes a median of 0-1 faults at
+    T=2000, and 46 serially at T=8000. The first call allocates the arena,
+    610-760 faults, and the helper's fork adds about 850 to the caller's
+    first call in a scope: the caller's copy-on-write of the pages it
+    shares with the new process. So in a fresh process a 30-update
+    ``train`` call takes 1,720-1,740 faults in the caller (718 serially),
+    a 20-epoch T=2000 reconstruction 1,660 (652), and a 4-epoch T=8000
+    reconstruction 2,360-2,380 (1,300). The helper takes 1,630-1,660
+    faults of its own in either T=2000 scope and 1,690-1,720 in the T=8000
+    one (getrusage, suite seed 7, hidden 16, one BLAS thread, float32
+    series; a float64 series took 1.4-1.9 times as many).
     """
     if wrt not in ("params", "series", None):
         raise ValueError(f"wrt must be 'params', 'series' or None, got {wrt!r}")
+    series = as_tensor(series)
     T = series.shape[0]
     if not 1 <= seq_len <= T:
         raise ValueError(f"seq_len {seq_len} invalid for {T} samples")
-    args = (params, series, seq_len, np.asarray(weights, dtype=np.float64), wrt)
+    try:
+        with np.errstate(over="raise"):
+            lowered = {name: arr.astype(series.dtype, copy=False)
+                       for name, arr in params.items()}
+    except FloatingPointError:  # a finite parameter beyond the dtype's range
+        return math.inf, (None if wrt else np.full(series.shape, math.nan))
+    args = (lowered, series, seq_len, np.asarray(weights, dtype=np.float64), wrt)
     conn = _helper_conn(T - seq_len + 1)
     outcomes = _outcomes(*args) if conn is None else _paired(conn, *args)
     loss_sum = 0.0
@@ -436,7 +467,8 @@ def windowed_objective(params: AutoencoderParams, series: np.ndarray, seq_len: i
             if wrt != "params":
                 result[rows] += part
             elif result is None:
-                result = part
+                result = {name: grad.astype(np.float64, copy=False)
+                          for name, grad in part.items()}
             else:
                 for name, grad in part.items():
                     result[name] += grad

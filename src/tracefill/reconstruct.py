@@ -5,14 +5,16 @@ form one [T, k] optimization variable (one shared value per time step,
 no matter how many windows overlap it). Every epoch
 
   1. writes that block into the missing columns of the scaled [T, n]
-     series, whose available columns are scaled once, and
+     float32 series, whose available columns are scaled once, and
   2. scores it with ``nn.windowed_objective``, the objective training
      minimizes too: every stride-1 window through the autoencoder, with
      the user's weights on the available features and weight 0 on the
      missing ones, recorded one chunk of windows per tape.
 
-The objective returns the gradient of the whole series, and Adam updates
-the block with its missing columns. Window extraction is the tape's
+The network computes in float32, the dtype of the series, while the
+block, its gradient and Adam's moments stay float64. The objective
+returns the gradient of the whole series, and Adam updates the block
+with its missing columns. Window extraction is the tape's
 ``windows`` op, whose backward adds every window's gradient back onto the
 samples, so a sample covered by several windows accumulates all their
 contributions, across chunk boundaries too. The loss is one
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -126,6 +128,14 @@ def _validate(model: TrainedModel, data: preprocess.TimeSeriesSet,
     return available
 
 
+def _check_finite(values: np.ndarray, names: Sequence[str], what: str, where: str) -> None:
+    """Raise DivergenceError naming the first column of ``values`` that is not finite."""
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        raise DivergenceError(
+            f"non-finite {what} of {names[int(np.argmin(finite))]!r} {where}")
+
+
 def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
                 spec: ReconstructionSpec) -> ReconstructionResult:
     """Optimize the missing columns of ``data`` against the frozen model.
@@ -134,7 +144,8 @@ def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
     ``spec.missing`` may be absent and are ignored when present. Returns
     the missing columns in data units along with the loss trajectory. Raises
     ``DivergenceError`` when an epoch's loss, or a returned column in data
-    units, is not finite.
+    units, is not finite, and when a scaled available column or the
+    estimate of a missing one is beyond float32's range.
     """
     available = _validate(model, data, spec)
     names = model.feature_names
@@ -146,9 +157,13 @@ def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
 
     # the [T, k] block of the k missing columns, in ``spec.missing`` order
     missing = [names.index(m) for m in spec.missing]
-    series = np.empty((data.n_samples, len(names)))
-    series[:, [names.index(n) for n in available]] = model.scaler.transform_columns(
-        np.column_stack([data.column(n) for n in available]), available)
+    present = [names.index(n) for n in available]
+    # the network computes in float32; the estimate and Adam's state stay float64
+    series = np.empty((data.n_samples, len(names)), np.float32)
+    with np.errstate(over="ignore"):  # beyond float32's range is inf, named below
+        series[:, present] = model.scaler.transform_columns(
+            np.column_stack([data.column(n) for n in available]), available)
+    _check_finite(series[:, present], available, "scaled data", "in float32")
     estimate = np.full((data.n_samples, len(missing)),
                        0.0 if spec.init == "zeros" else 0.5)
 
@@ -156,7 +171,9 @@ def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
     history: list[float] = []
 
     def objective(current: np.ndarray, wrt: str | None):
-        series[:, missing] = current
+        with np.errstate(over="ignore"):
+            series[:, missing] = current
+        _check_finite(series[:, missing], spec.missing, "estimate", "in float32")
         return windowed_objective(model.params, series, model.net.seq_len, weights, wrt)
 
     with chunk_helper():
@@ -173,10 +190,7 @@ def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,
         # an estimate that ran off to ~1e308 overflows in data units
         with np.errstate(over="ignore", invalid="ignore"):
             values = model.scaler.inverse_transform_columns(scaled, spec.missing)
-        finite = np.isfinite(values).all(axis=0)
-        if not finite.all():
-            raise DivergenceError(f"non-finite {what} of "
-                                  f"{spec.missing[int(np.argmin(finite))]!r} in data units")
+        _check_finite(values, spec.missing, what, "in data units")
         # rows of a transposed copy: each column contiguous, none a view of another
         return dict(zip(spec.missing, values.T.copy()))
 

@@ -9,6 +9,8 @@ drives exactly one Adam step. The epochs run inside ``nn.chunk_helper``,
 so a second CPU takes every other chunk. The min-max scaler is fitted
 once, up front, over all training sets. Evaluation runs the same loop
 forward only, serially: a T=2000 forward takes about as long as a fork.
+Both give the network float32 series, so it computes in float32, while
+the parameters, Adam's moments and every loss stay float64.
 """
 
 from __future__ import annotations
@@ -88,7 +90,8 @@ def train(datasets: Sequence[preprocess.TimeSeriesSet],
             )
 
     scaler = preprocess.fit_scaler(datasets)
-    scaled = [preprocess.transform(scaler, d).values for d in datasets]
+    # the network computes in float32; the parameters and Adam's state stay float64
+    scaled = [preprocess.transform(scaler, d).values.astype(np.float32) for d in datasets]
 
     params = init_params(config.net, config.seed)
     pooled = np.full(len(names), 1.0 / len(names))  # weights of the pooled window MSE
@@ -132,10 +135,10 @@ class EvalReport:
 
 def reconstruct_series(model: TrainedModel,
                        scaled_values: np.ndarray) -> np.ndarray:
-    """Forward every window of a scaled [T, n] array and merge by overlap mean."""
+    """Forward every window of a scaled [T, n] array in float32; merge by overlap mean."""
     n = scaled_values.shape[1]
-    return windowed_objective(model.params, scaled_values, model.net.seq_len,
-                              np.ones(n))[1]
+    return windowed_objective(model.params, scaled_values.astype(np.float32),
+                              model.net.seq_len, np.ones(n))[1]
 
 
 def evaluate_model(model: TrainedModel,

@@ -414,6 +414,42 @@ class TestLSTMOp:
             for got, want in zip(grads, expected, strict=True):
                 assert relative_error(got, want) <= 1e-12
 
+    # float32 against float64, relative to each array's largest magnitude
+    F32_TOL = 2e-6
+
+    @pytest.mark.parametrize("shapes", [
+        CONFORMING_LSTM_SHAPES,
+        # the production encoder and decoder: hidden 16, 4 features, latent
+        # 2, 3 steps of 64 windows
+        ((192, 4), (64, 4), (64, 16), (64,), (2, 16), (2,)),
+        ((192, 2), (64, 2), (64, 16), (64,), (4, 16), (4,)),
+    ], ids=["sweep", "encoder-h16", "decoder-h16"])
+    @pytest.mark.parametrize("squash", [True, False])
+    def test_float32_matches_float64(self, shapes, squash):
+        # the op computes in x's dtype: a float32 x gives a float32 output
+        # and six float32 gradients within F32_TOL of float64's, and float64
+        # weights are cast inside, to the same bits as float32 ones
+        rng = np.random.default_rng(shapes[0][0])
+        inputs = [rng.uniform(-0.8, 0.8, shape) for shape in shapes]
+        target = rng.uniform(-1.0, 1.0, (shapes[0][0], shapes[-1][0]))
+
+        def run(x_dtype, w_dtype):
+            tape = Tape()
+            leaves = [tape.leaf(inputs[0].astype(x_dtype))]
+            leaves += [tape.leaf(w.astype(w_dtype)) for w in inputs[1:]]
+            out = tape.lstm(*leaves, steps=3, squash=squash)
+            loss = tape.weighted_mse(tape.leaf(target.astype(x_dtype)), out,
+                                     np.ones(target.shape[1]))
+            return [out.value, *tape.backward(loss, leaves)]
+
+        want = run(np.float64, np.float64)
+        got = run(np.float32, np.float32)
+        for got_array, want_array in zip(got, want, strict=True):
+            assert got_array.dtype == np.float32
+            assert relative_error(got_array, want_array) <= self.F32_TOL
+        for got_array, master in zip(got, run(np.float32, np.float64), strict=True):
+            np.testing.assert_array_equal(master, got_array)
+
     def test_zero_state_step_never_reads_the_forget_gate(self):
         # one step from a zero state: the forget gate multiplies a zero cell,
         # so its weights cannot reach the output or the x gradient by a bit,

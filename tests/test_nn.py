@@ -277,6 +277,13 @@ def whole_series(params, series, seq_len, weights, wrt):
     return loss.item(), dict(zip(net, tape.backward(loss, list(net.values()))))
 
 
+# every wrt on a float64 and on a float32 series; the float64 ids are the
+# bare wrt names
+WRT_AND_DTYPE = pytest.mark.parametrize("wrt,dtype", [
+    pytest.param(wrt, dtype, id=str(wrt) if dtype is np.float64 else f"{wrt}-float32")
+    for dtype in (np.float64, np.float32) for wrt in ("params", "series", None)])
+
+
 def arrays(result):
     """The arrays of a ``windowed_objective`` result, in a fixed order."""
     return list(result.values()) if isinstance(result, dict) else [result]
@@ -326,14 +333,18 @@ class TestWindowedObjective:
         np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("T", [3, 40, 514])
-    @pytest.mark.parametrize("wrt", ["params", "series", None])
-    def test_one_chunk_is_bit_identical_to_one_tape(self, T, wrt):
-        # at most CHUNK_WINDOWS windows: one chunk with share 1.0
+    @WRT_AND_DTYPE
+    def test_one_chunk_is_bit_identical_to_one_tape(self, T, wrt, dtype):
+        # at most CHUNK_WINDOWS windows: one chunk with share 1.0; a float32
+        # series runs the kernel in float32 on either side, and the result
+        # comes back float64
         params, series = self.setup(T)
+        series = series.astype(dtype)
         loss, got = windowed_objective(params, series, 3, self.WEIGHTS, wrt)
         ref_loss, ref = whole_series(params, series, 3, self.WEIGHTS, wrt)
         assert loss == ref_loss
         for got_array, ref_array in zip(arrays(got), arrays(ref), strict=True):
+            assert got_array.dtype == np.float64
             np.testing.assert_array_equal(got_array, ref_array)
 
     @pytest.mark.parametrize("T", [40, 2000])
@@ -362,6 +373,26 @@ class TestWindowedObjective:
         loss, grads = windowed_objective(huge, series, 3, self.WEIGHTS, "params")
         assert not np.isfinite(loss) and grads is None
 
+    @pytest.mark.parametrize("wrt", ["params", "series", None])
+    def test_a_parameter_beyond_float32_is_a_non_finite_loss(self, monkeypatch, wrt):
+        # 1e39 is finite in the float64 master copy but not in float32: the
+        # call ends as a diverged one, with no cast warning (an error under
+        # this suite's filter), no NonFiniteError from a leaf and no backward
+        params, series = self.setup(40)
+        params["decoder.wh"][3, 1] = 1e39
+
+        def no_backward(tape, loss, wrt):
+            raise AssertionError("backward ran on a non-finite loss")
+
+        monkeypatch.setattr(Tape, "backward", no_backward)
+        loss, result = windowed_objective(params, series.astype(np.float32), 3,
+                                          self.WEIGHTS, wrt)
+        assert not np.isfinite(loss)
+        if wrt is None:
+            assert result.shape == series.shape and np.isnan(result).all()
+        else:
+            assert result is None
+
     def test_rejects_bad_wrt_and_short_series(self):
         params, series = self.setup(40)
         with pytest.raises(ValueError):
@@ -372,12 +403,15 @@ class TestWindowedObjective:
     def test_memory_is_flat_in_series_length(self):
         self.assert_flat_memory(contextlib.nullcontext)
 
+    def test_memory_is_flat_in_series_length_in_float32(self):
+        self.assert_flat_memory(contextlib.nullcontext, np.float32)
+
     def test_memory_is_flat_inside_the_helper_scope(self):
         # the same bound, with the helper's fork in the 2k call
         with deadline(HELPER_DEADLINE_S):
             self.assert_flat_memory(nn.chunk_helper)
 
-    def assert_flat_memory(self, scope):
+    def assert_flat_memory(self, scope, dtype=np.float64):
         # the tracemalloc peak of one reconstruction objective at 20k and
         # 200k samples stays within 1.2x the 2k peak, plus the [T, n]
         # gradient the loop returns
@@ -386,7 +420,7 @@ class TestWindowedObjective:
         peaks = {}
         with scope():
             for T in (2_000, 20_000, 200_000):
-                series = np.random.default_rng(0).uniform(0.0, 1.0, (T, 4))
+                series = np.random.default_rng(0).uniform(0.0, 1.0, (T, 4)).astype(dtype)
                 tracemalloc.start()
                 try:
                     windowed_objective(params, series, 3, self.WEIGHTS, "series")
@@ -417,8 +451,8 @@ def chunk_by_chunk(params, series, seq_len, weights, wrt, chunk):
             result[rows] += tape.backward(loss, [x])[0]
             continue
         grads = dict(zip(net, tape.backward(loss, list(net.values()))))
-        if result is None:
-            result = grads
+        if result is None:  # the sum is float64 whatever the kernel's dtype
+            result = {name: grad.astype(np.float64) for name, grad in grads.items()}
         else:
             for name, grad in grads.items():
                 result[name] += grad
@@ -447,11 +481,12 @@ class TestLSTMArena:
     WEIGHTS = TestWindowedObjective.WEIGHTS
     setup = TestWindowedObjective.setup
 
-    @pytest.mark.parametrize("wrt", ["params", "series", None])
-    def test_short_last_chunk_is_bit_identical_to_fresh_tapes(self, monkeypatch, wrt):
+    @WRT_AND_DTYPE
+    def test_short_last_chunk_is_bit_identical_to_fresh_tapes(self, monkeypatch, wrt, dtype):
         # 38 windows in chunks of 16: the last chunk of 6 takes leading views
         monkeypatch.setattr(nn, "CHUNK_WINDOWS", 16)
         params, series = self.setup(40)
+        series = series.astype(dtype)
         loss, got = windowed_objective(params, series, 3, self.WEIGHTS, wrt)
         ref_loss, ref = chunk_by_chunk(params, series, 3, self.WEIGHTS, wrt, 16)
         assert loss == ref_loss
@@ -483,14 +518,14 @@ class TestLSTMArena:
         monkeypatch.setattr(autodiff._arena, "buffers", {})
         params, series = self.setup(40)
         windowed_objective(params, series, 3, self.WEIGHTS, "params")
-        dhs = autodiff._arena.buffers["dhs"]
+        dhs = autodiff._arena.buffers["dhs", np.dtype(np.float64)]
         windowed_objective(params, series[:30], 3, self.WEIGHTS, "series")
         (enc_a, saved_a), (dec_a, saved_dec), (enc_b, saved_b), (dec_b, _) = calls
         # xa, acts, cs, tanh_cs and hs
         for first, second in zip(saved_a[:5], saved_b[:5], strict=True):
             assert np.shares_memory(first, second)
         # the hidden-state gradient buffer of the backward
-        assert autodiff._arena.buffers["dhs"] is dhs
+        assert autodiff._arena.buffers["dhs", np.dtype(np.float64)] is dhs
         # one set of residuals per call position, and fresh outputs
         for first, dec in zip(saved_a[:5], saved_dec[:5], strict=True):
             assert not np.shares_memory(first, dec)
@@ -560,12 +595,13 @@ class TestChunkHelper:
             yield
 
     @pytest.mark.parametrize("T,chunk", [(2000, 512), (40, 16)])
-    @pytest.mark.parametrize("wrt", ["params", "series", None])
-    def test_bit_identical_to_the_serial_loop(self, monkeypatch, T, chunk, wrt):
+    @WRT_AND_DTYPE
+    def test_bit_identical_to_the_serial_loop(self, monkeypatch, T, chunk, wrt, dtype):
         # 40 samples in chunks of 16: three chunks, the last one short and
         # the helper's
         monkeypatch.setattr(nn, "CHUNK_WINDOWS", chunk)
         params, series = self.setup(T)
+        series = series.astype(dtype)
         serial = windowed_objective(params, series, 3, self.WEIGHTS, wrt)
         with nn.chunk_helper():
             for _ in range(2):  # the call that forks, and a warm one
@@ -609,9 +645,25 @@ class TestChunkHelper:
             assert_same_bits(windowed_objective(params, series, 3, self.WEIGHTS, "series"),
                              serial)
 
+    def test_calls_of_any_size_and_dtype_share_the_receive_buffer(self):
+        # the helper receives each series into one buffer grown to the
+        # largest call: a smaller call after a larger one takes its leading
+        # bytes, in its own dtype
+        params = self.setup(40)[0]
+        calls = [(T, dtype, wrt) for T, dtype in [(1200, np.float32), (2000, np.float64),
+                                                  (600, np.float32), (1100, np.float64)]
+                 for wrt in ("params", "series", None)]
+        serial = [windowed_objective(params, self.setup(T)[1].astype(dtype), 3,
+                                     self.WEIGHTS, wrt) for T, dtype, wrt in calls]
+        with nn.chunk_helper():
+            for (T, dtype, wrt), want in zip(calls, serial, strict=True):
+                got = windowed_objective(params, self.setup(T)[1].astype(dtype), 3,
+                                         self.WEIGHTS, wrt)
+                assert_same_bits(got, want)
+
     @pytest.mark.parametrize("layout", ["Fortran order", "column stride", "float32"])
     def test_any_series_layout_gives_the_serial_bits(self, layout):
-        # the series reaches the helper as raw float64 bytes in C order
+        # the series reaches the helper as raw bytes in C order
         params, series = self.setup(2000)
         if layout == "Fortran order":
             series = np.asfortranarray(series)

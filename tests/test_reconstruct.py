@@ -11,7 +11,7 @@ import importlib
 import numpy as np
 import pytest
 
-from tracefill import cli, nn
+from tracefill import cli, nn, training
 from tracefill.preprocess import transform
 from tracefill.reconstruct import (
     DEFAULT_EPOCHS_MULTI_MISSING,
@@ -19,7 +19,13 @@ from tracefill.reconstruct import (
     ReconstructionSpec,
     reconstruct,
 )
-from tracefill.training import DivergenceError, reconstruct_series
+from tracefill.training import (
+    DivergenceError,
+    TrainConfig,
+    evaluate_model,
+    reconstruct_series,
+    train,
+)
 
 
 class TestSpecValidation:
@@ -223,6 +229,26 @@ class TestOptimization:
         with pytest.raises(DivergenceError, match="non-finite estimate of 'u2' in data units"):
             reconstruct(huge, toy_datasets[0], spec)
 
+    def test_estimate_beyond_float32_is_named(self, toy_model, toy_datasets):
+        # one Adam step of 1e39 leaves the estimate finite in float64 and in
+        # data units, but beyond the float32 series the network reads: the
+        # final pass names the column, with no cast warning
+        model, _ = toy_model
+        spec = ReconstructionSpec(missing=("u1",), epochs=1, learning_rate=1e39)
+        with pytest.raises(DivergenceError, match="non-finite estimate of 'u1' in float32"):
+            reconstruct(model, toy_datasets[0], spec)
+
+    def test_available_data_beyond_float32_is_named(self, toy_model, toy_datasets):
+        # an available sample that scales beyond float32's range is named
+        # before any epoch, with no cast warning
+        model, _ = toy_model
+        data = toy_datasets[0]
+        values = data.values.copy()
+        values[5, data.feature_names.index("i2")] = 1e300
+        spec = ReconstructionSpec(missing=("u1",), epochs=1)
+        with pytest.raises(DivergenceError, match="non-finite scaled data of 'i2' in float32"):
+            reconstruct(model, data.replace_values(values), spec)
+
     def test_weights_change_the_trajectory(self, toy_model, toy_datasets):
         model, _ = toy_model
         base = ReconstructionSpec(missing=("u1",), epochs=5)
@@ -257,6 +283,31 @@ class TestRefine:
         recon = reconstruct_series(model, scaled.values)
         refined = model.scaler.inverse_transform_columns(recon[:, [col]], ["u2"])
         np.testing.assert_array_equal(refined.ravel(), res.x_hat_miss["u2"])
+
+
+class TestFloat32Kernel:
+    def test_train_reconstruct_and_evaluate_pass_float32(self, monkeypatch, toy_model,
+                                                         toy_datasets):
+        # a fall-back to float64 series gives the same answers, only slower,
+        # so nothing else would notice it; the parameters stay float64 masters
+        recon_module = importlib.import_module("tracefill.reconstruct")
+        seen = []
+
+        def spy(params, series, *args, _objective=nn.windowed_objective):
+            seen.append((series.dtype, {arr.dtype for arr in params.values()}))
+            return _objective(params, series, *args)
+
+        for module in (training, recon_module):
+            monkeypatch.setattr(module, "windowed_objective", spy)
+        model, _ = toy_model
+        train(toy_datasets, TrainConfig(epochs=1, net=model.net))
+        assert len(seen) == len(toy_datasets)  # one update per dataset
+        evaluate_model(model, toy_datasets[0])
+        assert len(seen) == len(toy_datasets) + 1
+        reconstruct(model, toy_datasets[0], ReconstructionSpec(missing=("u1",), epochs=1))
+        assert len(seen) == len(toy_datasets) + 3  # one epoch and the final pass
+        assert all(dtype == np.float32 and params == {np.dtype(np.float64)}
+                   for dtype, params in seen), seen
 
 
 class TestGradientPath:
