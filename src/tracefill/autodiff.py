@@ -47,9 +47,13 @@ the layout is written down once; the backward adds each sample's window
 cells, which keeps a sample's coverage count an exact integer.
 
 ``weighted_mse(target, output, weights)`` is ``sum_j w_j * mean((o_j -
-t_j)**2)`` over the columns j. It reads only the columns of positive
-weight, in the forward and in the backward, so a column of weight 0
-cannot change the loss or any gradient by a single bit, whatever it holds.
+t_j)**2)`` over the columns j, and the one owner of the column-weight
+policy: it takes one finite, non-negative weight per column, at least one
+of them positive, and raises ValueError otherwise. It reads only the
+columns of positive weight, in the forward and in the backward, so a
+column of weight 0 cannot change the loss or any gradient by a single
+bit, whatever it holds. Training weights every column 1/n, which is the
+pooled MSE; reconstruction gives the missing columns weight 0.
 It takes the column means in float64, so the loss is a float64 number
 whatever the dtype of its inputs.
 
@@ -415,6 +419,9 @@ def _fw_weighted_mse(values, kwargs):
     if target.ndim != 2 or target.shape != output.shape or weights.shape != (target.shape[1],):
         raise ShapeError(f"weighted_mse: shapes {target.shape} and {output.shape} "
                          f"with {weights.size} weights do not conform")
+    if not (np.isfinite(weights).all() and (weights >= 0).all() and weights.any()):
+        raise ValueError("weighted_mse: weights must be finite and non-negative, "
+                         f"at least one positive, got {weights.tolist()}")
     # a weight-0 column is never read, so not even 0 * inf = nan can leak
     keep = np.flatnonzero(weights)
     d = output[:, keep] - target[:, keep]

@@ -6,7 +6,8 @@ recovers missing feature columns against a frozen model, ``evaluate``
 compares results with ground truth (plus amplitude spectra), and
 ``gradcheck`` verifies every derivative rule against finite differences.
 
-Exit codes: 0 success, 2 validation/usage error, 3 numerical failure.
+Exit codes: 0 success, 2 validation/usage error or a path that cannot be
+read or written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -100,7 +101,8 @@ def _load_suite_datasets(data_dir: Path, role: str) -> list[preprocess.TimeSerie
 def cmd_train(args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
     if not data_dir.is_dir():
-        raise CliError(f"data directory {data_dir} does not exist")
+        problem = "is not a directory" if data_dir.exists() else "does not exist"
+        raise CliError(f"data directory {data_dir} {problem}")
     datasets = _load_suite_datasets(data_dir, "train")
     net = NetConfig(
         n_features=datasets[0].n_features,
@@ -358,8 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # CliError, FormatError and ShapeError are all ValueErrors
-    except (KeyError, ValueError, FileNotFoundError) as exc:
+    # CliError, FormatError and ShapeError are all ValueErrors; an OSError
+    # (a missing file, a directory where a file belongs) names its path
+    except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NonFiniteError, DivergenceError, circuit.SimulationError) as exc:

@@ -58,30 +58,33 @@ def write_dataset_csv(path: str | Path, data: TimeSeriesSet) -> None:
 
 
 def read_dataset_csv(path: str | Path) -> TimeSeriesSet:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
-        if not header or header[0] != TIME_COLUMN:
-            raise FormatError(
-                f"{path}: first column must be {TIME_COLUMN!r}, got {header[:1]}"
-            )
-        names = tuple(header[1:])
-        if not names:
-            raise FormatError(f"{path}: no feature columns")
-        _check_unique(path, names)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise FormatError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
             try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
+                header = next(reader)
+            except StopIteration:
+                raise FormatError(f"{path}: empty file") from None
+            if not header or header[0] != TIME_COLUMN:
+                raise FormatError(
+                    f"{path}: first column must be {TIME_COLUMN!r}, got {header[:1]}"
+                )
+            names = tuple(header[1:])
+            if not names:
+                raise FormatError(f"{path}: no feature columns")
+            _check_unique(path, names)
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise FormatError(
+                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise FormatError(f"{path}:{lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid text: {exc}") from None
     if len(rows) < 2:
         raise FormatError(f"{path}: need at least two samples")
     arr = np.array(rows)

@@ -30,9 +30,10 @@ The chunks are independent until their losses and gradients are added,
 so inside ``chunk_helper()`` (which ``training.train`` and
 ``reconstruct.reconstruct`` open) a forked helper process runs the first
 chunk of every pair while the caller runs the second. A call reaches the
-helper as one message, and the helper sends each outcome back as soon as
-it is done. The caller adds both in chunk order, the serial loop's left
-fold, so every result is bit-identical whether a run has one CPU or two.
+helper as a header message and then the series' raw bytes, and the
+helper sends each outcome back as soon as it is done. The caller adds
+both in chunk order, the serial loop's left fold, so every result is
+bit-identical whether a run has one CPU or two.
 
 The parameters are one table of ten named arrays, spelled out only in
 ``param_shapes``: training writes it, the model file stores it and
@@ -264,10 +265,11 @@ def chunk_helper():
 
     The first call inside that has at least two chunks forks one helper
     (``multiprocessing``'s "fork" context and one ``Pipe``), and the later
-    calls reuse it. Each call goes to the helper as one message. The helper
-    runs the first chunk of every pair, the caller the second, and the
-    caller folds both in chunk order, so every loss, gradient and output
-    is bit-identical to the serial loop's. On one CPU
+    calls reuse it. Each call goes to the helper as a header message and
+    then the series' raw bytes. The helper runs the first chunk of every
+    pair, the caller the second, and the caller folds both in chunk order,
+    so every loss, gradient and output is bit-identical to the serial
+    loop's. On one CPU
     (``os.sched_getaffinity``), or where ``fork`` is unavailable, the calls
     run serially. On exit the pipe is closed and the helper joined, so no
     process outlives the scope. Opening a second scope in the same thread
@@ -319,24 +321,19 @@ def _helper_conn(num_windows: int):
 def _serve(conn, caller_end) -> None:
     """The helper's loop: run its share of each call that arrives on ``conn``.
 
-    A call is one message of its arguments, with the series' shape and
-    dtype in place of the series, and then the series' bytes, which land
-    in one buffer kept across calls and grown to the largest. The helper
-    sends the ``(rows, outcome)`` of chunks 0, 2, 4, ... as each is done, a
-    chunk's exception as its outcome, and then the end marker None. The
-    loop ends at the stop message None, or at EOF when the caller has died.
+    A call is a header message of its arguments, with the series' shape
+    and dtype in place of the series, and then a message of the series'
+    raw bytes, which the helper views in place. The helper sends the
+    ``(rows, outcome)`` of chunks 0, 2, 4, ... as each is done, a chunk's
+    exception as its outcome, and then the end marker None. The loop ends
+    at the stop message None, or at EOF when the caller has died.
     SIGINT is ignored: an interrupt is the caller's to handle.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     caller_end.close()  # else the caller's death would leave the pipe open
-    buffer = np.empty(0, np.uint8)
     try:
         for params, shape, dtype, seq_len, weights, wrt in iter(conn.recv, None):
-            nbytes = math.prod(shape) * dtype.itemsize
-            if buffer.size < nbytes:
-                buffer = np.empty(nbytes, np.uint8)
-            conn.recv_bytes_into(buffer)
-            series = buffer[:nbytes].view(dtype).reshape(shape)
+            series = np.frombuffer(conn.recv_bytes(), dtype).reshape(shape)
             for outcome in _outcomes(params, series, seq_len, weights, wrt, 0, 2):
                 conn.send(outcome)
             conn.send(None)
@@ -348,16 +345,16 @@ def _paired(conn, params: dict[str, np.ndarray], series: np.ndarray, seq_len: in
             weights: np.ndarray, wrt: str | None):
     """``_outcomes`` of every chunk, in chunk order, sharing pairs with the helper.
 
-    The call goes to the helper as one message and the series' raw bytes
-    in C order. The helper runs chunks 0, 2, 4, ... and the caller 1, 3,
-    5, ..., each while the other runs its own. The caller sends only while
-    the helper is idle, and during a call only the helper sends, so no
-    message waits on another, whatever its size. Every message of the call
-    is received, up to the end marker None, before this generator ends,
-    early or not, so the pipe is in step for the next call. When the
-    caller's own chunk ends the call, the helper still finishes its share:
-    up to half a call of wasted work, and only on a call that raises or
-    diverges.
+    The call goes to the helper as a header message and then the series'
+    raw bytes in C order. The helper runs chunks 0, 2, 4, ... and the
+    caller 1, 3, 5, ..., each while the other runs its own. The caller
+    sends only while the helper is idle, and during a call only the helper
+    sends, so no message waits on another, whatever its size. Every
+    message of the call is received, up to the end marker None, before
+    this generator ends, early or not, so the pipe is in step for the next
+    call. When the caller's own chunk ends the call, the helper still
+    finishes its share: up to half a call of wasted work, and only on a
+    call that raises or diverges.
     """
     series = np.ascontiguousarray(series)
     try:

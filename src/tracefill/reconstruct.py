@@ -33,14 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from . import preprocess
 from .nn import chunk_helper, windowed_objective
 from .optim import Adam
-from .training import DivergenceError, TrainedModel
+from .training import DivergenceError, TrainedModel, _check_finite
 
 DEFAULT_EPOCHS_ONE_MISSING = 300
 DEFAULT_EPOCHS_MULTI_MISSING = 3000
@@ -126,14 +126,6 @@ def _validate(model: TrainedModel, data: preprocess.TimeSeriesSet,
             f"{data.n_samples} samples is shorter than seq_len {model.net.seq_len}"
         )
     return available
-
-
-def _check_finite(values: np.ndarray, names: Sequence[str], what: str, where: str) -> None:
-    """Raise DivergenceError naming the first column of ``values`` that is not finite."""
-    finite = np.isfinite(values).all(axis=0)
-    if not finite.all():
-        raise DivergenceError(
-            f"non-finite {what} of {names[int(np.argmin(finite))]!r} {where}")
 
 
 def reconstruct(model: TrainedModel, data: preprocess.TimeSeriesSet,

@@ -29,6 +29,14 @@ class DivergenceError(FloatingPointError):
     """Training loss became non-finite."""
 
 
+def _check_finite(values: np.ndarray, names: Sequence[str], what: str, where: str) -> None:
+    """Raise DivergenceError naming the first column of ``values`` that is not finite."""
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        raise DivergenceError(
+            f"non-finite {what} of {names[int(np.argmin(finite))]!r} {where}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 1000
@@ -135,10 +143,15 @@ class EvalReport:
 
 def reconstruct_series(model: TrainedModel,
                        scaled_values: np.ndarray) -> np.ndarray:
-    """Forward every window of a scaled [T, n] array in float32; merge by overlap mean."""
-    n = scaled_values.shape[1]
-    return windowed_objective(model.params, scaled_values.astype(np.float32),
-                              model.net.seq_len, np.ones(n))[1]
+    """Forward every window of a scaled [T, n] array in float32; merge by overlap mean.
+
+    Raises DivergenceError naming the first column beyond float32's range.
+    """
+    with np.errstate(over="ignore"):  # beyond float32's range is inf, named below
+        series = scaled_values.astype(np.float32)
+    _check_finite(series, model.feature_names, "scaled data", "in float32")
+    return windowed_objective(model.params, series, model.net.seq_len,
+                              np.ones(series.shape[1]))[1]
 
 
 def evaluate_model(model: TrainedModel,

@@ -602,6 +602,33 @@ class TestEvaluate:
         assert str(result) in err and str(bad) in err
 
 
+class TestUnreadablePaths:
+    @pytest.mark.parametrize("argv,expected", [
+        ("reconstruct --model {model} --data {dir} --missing u2 --epochs 1 --out {out}",
+         "{dir}"),
+        ("reconstruct --model {dir} --data {data} --missing u2 --epochs 1 --out {out}",
+         "{dir}"),
+        ("reconstruct --model {model} --data {data} --missing u2 --epochs 1 --out {file}",
+         "{file}"),
+        ("evaluate --result {dir} --truth {data} --out {out}", "{dir}"),
+        ("evaluate --result {binary} --truth {data} --out {out}", "{binary}: not valid text"),
+        ("train --data {file} --out {out} --epochs 1",
+         "data directory {file} is not a directory"),
+    ], ids=["reconstruct --data DIR", "reconstruct --model DIR", "reconstruct --out FILE",
+            "evaluate --result DIR", "evaluate --result BINARY", "train --data FILE"])
+    def test_exits_validation_naming_the_path(self, pipeline, tmp_path, capsys,
+                                              argv, expected):
+        _, data_dir, model_path, *_ = pipeline
+        paths = {"model": model_path, "data": data_dir / "test_1.csv",
+                 "dir": tmp_path / "a_dir", "file": tmp_path / "a_file",
+                 "binary": tmp_path / "binary.csv", "out": tmp_path / "out"}
+        paths["dir"].mkdir()
+        paths["file"].write_text("x")
+        paths["binary"].write_bytes(b"time_s,u1\n0.0,\xff\n")
+        assert main([part.format(**paths) for part in argv.split()]) == EXIT_VALIDATION
+        assert expected.format(**paths) in capsys.readouterr().err
+
+
 class TestGradcheck:
     def test_passes_and_prints_per_op_lines(self, capsys):
         assert main(["gradcheck", "--samples", "2"]) == EXIT_OK

@@ -407,7 +407,7 @@ class TestWindowedObjective:
         self.assert_flat_memory(contextlib.nullcontext, np.float32)
 
     def test_memory_is_flat_inside_the_helper_scope(self):
-        # the same bound, with the helper's fork in the 2k call
+        # the same bound with the helper, forked by the first 2k call
         with deadline(HELPER_DEADLINE_S):
             self.assert_flat_memory(nn.chunk_helper)
 
@@ -419,7 +419,10 @@ class TestWindowedObjective:
                                        latent_dim=2), seed=0)
         peaks = {}
         with scope():
-            for T in (2_000, 20_000, 200_000):
+            # the second 2k call overwrites the first one's peak, so the
+            # baseline never includes the arena's first allocation or the
+            # helper's fork, whatever ran before in the process
+            for T in (2_000, 2_000, 20_000, 200_000):
                 series = np.random.default_rng(0).uniform(0.0, 1.0, (T, 4)).astype(dtype)
                 tracemalloc.start()
                 try:
@@ -645,10 +648,9 @@ class TestChunkHelper:
             assert_same_bits(windowed_objective(params, series, 3, self.WEIGHTS, "series"),
                              serial)
 
-    def test_calls_of_any_size_and_dtype_share_the_receive_buffer(self):
-        # the helper receives each series into one buffer grown to the
-        # largest call: a smaller call after a larger one takes its leading
-        # bytes, in its own dtype
+    def test_calls_of_any_size_and_dtype_in_one_scope_give_the_serial_bits(self):
+        # one helper serves calls whose series grow and shrink and switch
+        # dtype, and each call's series arrives with its own shape and dtype
         params = self.setup(40)[0]
         calls = [(T, dtype, wrt) for T, dtype in [(1200, np.float32), (2000, np.float64),
                                                   (600, np.float32), (1100, np.float64)]

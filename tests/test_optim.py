@@ -161,7 +161,7 @@ class TestLosses:
         a, b = tape.leaf(t), tape.leaf(o)
         before = len(tape)
         loss = reduced_loss(tape, a, b, np.full(4, 0.25))
-        # no slicing, column scaling or rescaling: one mean_sq_diff op
+        # no slicing, column scaling or rescaling: one weighted_mse op
         assert len(tape) == before + 1
         assert loss.item() == mse(tape, a, b).item()
 
@@ -189,8 +189,11 @@ class TestLosses:
         "weights", [(1.0, -0.5), (1.0, np.nan), (np.inf, 1.0), (0.0, 0.0)]
     )
     def test_reduced_loss_rejects_bad_weights(self, weights):
+        # the op checks its weights, so a direct call is rejected the same way
         tape = Tape()
         target = tape.leaf(np.zeros((2, 2)))
         output = tape.leaf(np.ones((2, 2)))
         with pytest.raises(ValueError):
             reduced_loss(tape, target, output, weights)
+        with pytest.raises(ValueError):
+            tape.weighted_mse(target, output, weights)

@@ -245,6 +245,15 @@ class TestEvaluation:
         )
         assert report_a.mse_scaled == report_b.mse_scaled
 
+    def test_a_channel_beyond_float32_is_named(self, toy_model, toy_datasets):
+        # the network computes in float32, so a scaled sample above 3.4e38
+        # cannot reach it; the error names the channel, with no warning
+        model, _ = toy_model
+        values = toy_datasets[0].values.copy()
+        values[5, model.feature_names.index("i1")] = 1e300
+        with pytest.raises(DivergenceError, match="scaled data of 'i1' in float32"):
+            evaluate_model(model, toy_datasets[0].replace_values(values))
+
     def test_reconstruct_series_round_trip_scale(self, toy_model, toy_datasets):
         model, _ = toy_model
         scaled = transform(model.scaler, toy_datasets[0])
