@@ -25,7 +25,6 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -58,12 +57,17 @@ def capacitance(u: float | np.ndarray, params: CircuitParams):
     return params.c0 / (1.0 + (u / params.v0) ** 2)
 
 
+# Each term and ``WaveformSpec`` take a float or an array of times and
+# return the same kind; an array is sampled point by point with the bits of
+# the float call.
+
+
 @dataclass(frozen=True)
 class Dc:
     level: float
 
-    def __call__(self, t: float) -> float:
-        return self.level
+    def __call__(self, t):
+        return np.full(np.shape(t), self.level)[()]
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,8 @@ class Sine:
     frequency: float
     phase: float = 0.0
 
-    def __call__(self, t: float) -> float:
-        return self.amplitude * math.sin(2.0 * math.pi * self.frequency * t + self.phase)
+    def __call__(self, t):
+        return self.amplitude * np.sin(2.0 * math.pi * self.frequency * t + self.phase)
 
 
 @dataclass(frozen=True)
@@ -94,17 +98,20 @@ class Trapezoid:
             if getattr(self, name) < 0 or (name == "period" and self.period <= 0):
                 raise ValueError(f"invalid trapezoid {name}: {getattr(self, name)}")
 
-    def __call__(self, t: float) -> float:
-        tau = t % self.period
-        if tau < self.rise:
-            return self.low + (self.high - self.low) * tau / self.rise
-        tau -= self.rise
-        if tau < self.high_time:
-            return self.high
-        tau -= self.high_time
-        if tau < self.fall:
-            return self.high - (self.high - self.low) * tau / self.fall
-        return self.low
+    def __call__(self, t):
+        tau = np.remainder(t, self.period)
+        # the time into the plateau and into the fall, each subtracted from
+        # the one before, which rounds as a per-point loop does
+        tau_high = tau - self.rise
+        tau_fall = tau_high - self.high_time
+        # a zero-length segment divides by zero where it is not selected
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(
+                tau < self.rise, self.low + (self.high - self.low) * tau / self.rise,
+                np.where(tau_high < self.high_time, self.high,
+                         np.where(tau_fall < self.fall,
+                                  self.high - (self.high - self.low) * tau_fall / self.fall,
+                                  self.low)))[()]
 
 
 Term = Dc | Sine | Trapezoid
@@ -116,8 +123,9 @@ class WaveformSpec:
 
     terms: tuple[Term, ...]
 
-    def __call__(self, t: float) -> float:
-        return float(sum(term(t) for term in self.terms))
+    def __call__(self, t):
+        total = sum((term(t) for term in self.terms), np.zeros(np.shape(t)))
+        return total if np.ndim(t) else float(total)
 
 
 def term_to_dict(term: Term) -> dict:
@@ -131,9 +139,13 @@ def _derivatives(params: CircuitParams, u1: float, i1: float,
     return di1, du2
 
 
-def simulate(params: CircuitParams, source: Callable[[float], float],
+def simulate(params: CircuitParams, source: WaveformSpec,
              dt: float, n_samples: int, t0: float = 0.0) -> TimeSeriesSet:
     """Fixed-step RK4 integration from zero state; one row per grid point.
+
+    The source is sampled once per grid, on arrays: at ``t0 + k*dt``, and
+    for the stages half a step and a whole step later. The stages then run
+    on Python floats, bit for bit as a per-point loop would.
 
     Emits a warning when ``dt`` is coarse relative to the filter's natural
     period sqrt(L*C0) (accuracy degrades well before instability).
@@ -150,35 +162,38 @@ def simulate(params: CircuitParams, source: Callable[[float], float],
             stacklevel=2,
         )
 
-    rows = np.empty((n_samples, 4))
+    times = t0 + np.arange(n_samples) * dt
+    drive = source(times).tolist()
+    drive_mid = source(times[:-1] + 0.5 * dt).tolist()
+    drive_end = source(times[:-1] + dt).tolist()
+    i1s, u2s = [0.0], [0.0]
     i1, u2 = 0.0, 0.0
-    for k in range(n_samples):
-        t = t0 + k * dt
-        u1 = source(t)
-        rows[k] = (u1, i1, u2, u2 / params.rload)
-        if k == n_samples - 1:
-            break
+    for k in range(n_samples - 1):
+        u1_mid = drive_mid[k]
         # classical RK4 stages; arithmetic on a diverging state can hit
         # literal overflow or a zero capacitance denominator, which count
         # as the same failure as reaching a non-finite state
         try:
-            k1i, k1u = _derivatives(params, u1, i1, u2)
-            u1_mid = source(t + 0.5 * dt)
+            k1i, k1u = _derivatives(params, drive[k], i1, u2)
             k2i, k2u = _derivatives(params, u1_mid, i1 + 0.5 * dt * k1i,
                                     u2 + 0.5 * dt * k1u)
             k3i, k3u = _derivatives(params, u1_mid, i1 + 0.5 * dt * k2i,
                                     u2 + 0.5 * dt * k2u)
-            u1_end = source(t + dt)
-            k4i, k4u = _derivatives(params, u1_end, i1 + dt * k3i, u2 + dt * k3u)
+            k4i, k4u = _derivatives(params, drive_end[k], i1 + dt * k3i, u2 + dt * k3u)
         except (OverflowError, ZeroDivisionError) as exc:
             raise SimulationError(
-                f"state diverged during step {k} (t={t:g}): {exc}"
+                f"state diverged during step {k} (t={times[k]:g}): {exc}"
             ) from exc
         i1 += dt * (k1i + 2.0 * k2i + 2.0 * k3i + k4i) / 6.0
         u2 += dt * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
-        if not (np.isfinite(i1) and np.isfinite(u2)):
-            raise SimulationError(f"non-finite state after step {k} (t={t + dt:g})")
+        if not (math.isfinite(i1) and math.isfinite(u2)):
+            raise SimulationError(
+                f"non-finite state after step {k} (t={times[k] + dt:g})")
+        i1s.append(i1)
+        u2s.append(u2)
 
+    u2_col = np.array(u2s)
+    rows = np.column_stack([drive, i1s, u2_col, u2_col / params.rload])
     return TimeSeriesSet(FEATURES, t0, dt, rows)
 
 

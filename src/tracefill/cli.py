@@ -98,11 +98,24 @@ def _load_suite_datasets(data_dir: Path, role: str) -> list[preprocess.TimeSerie
     return [fileio.read_dataset_csv(f) for f in files]
 
 
+def _output_file(path: str) -> str:
+    """``path`` if a file can be written there; checked before the work, not after it."""
+    parent = Path(path).parent
+    if Path(path).is_dir():
+        raise CliError(f"output file {path} is a directory")
+    if not parent.is_dir():
+        problem = "is not a directory" if parent.exists() else "does not exist"
+        raise CliError(f"cannot write {path}: {parent} {problem}")
+    return path
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     data_dir = Path(args.data)
     if not data_dir.is_dir():
         problem = "is not a directory" if data_dir.exists() else "does not exist"
         raise CliError(f"data directory {data_dir} {problem}")
+    model_path = _output_file(args.out)
+    history_path = _output_file(args.history or str(Path(args.out).with_suffix(".losses.csv")))
     datasets = _load_suite_datasets(data_dir, "train")
     net = NetConfig(
         n_features=datasets[0].n_features,
@@ -119,15 +132,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     model, history = train(datasets, config)
     elapsed = time.perf_counter() - started
-    fileio.save_model(args.out, model)
-    history_path = args.history or str(Path(args.out).with_suffix(".losses.csv"))
+    fileio.save_model(model_path, model)
     fileio.write_history_csv(history_path, history)
     mean_final = float(np.mean(model.final_losses))
     print(
         f"trained {config.epochs} epochs on {len(datasets)} datasets "
         f"in {elapsed:.1f}s; mean final loss {mean_final:.3e}"
     )
-    print(f"model: {args.out}")
+    print(f"model: {model_path}")
     print(f"history: {history_path}")
     return EXIT_OK
 
@@ -161,12 +173,20 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         init=args.init,
         weights=_parse_weights(args.weights) or None,
     )
+    # a file at --out fails here, before the work; a run that fails leaves
+    # no directory behind that it made
+    out = Path(args.out)
+    made = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    result = reconstruct(model, data, spec)
+    try:
+        result = reconstruct(model, data, spec)
+    except BaseException:
+        if made:
+            out.rmdir()
+        raise
     elapsed = time.perf_counter() - started
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     names, columns = [], []
     for m in missing:
         names += [f"{m}_xmiss", f"{m}_xhatmiss"]

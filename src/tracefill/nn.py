@@ -29,10 +29,11 @@ length.
 The chunks are independent until their losses and gradients are added,
 so inside ``chunk_helper()`` (which ``training.train`` and
 ``reconstruct.reconstruct`` open) a forked helper process runs the first
-chunk of every pair while the caller runs the second. A call reaches the
-helper as a header message and then the series' raw bytes, and the
-helper sends each outcome back as soon as it is done. The caller adds
-both in chunk order, the serial loop's left fold, so every result is
+chunk of every pair while the caller runs the second: the 1998 windows
+of a T=2000 series are two chunks, of 1000 and 998, one for each. A call
+reaches the helper as a header message and then the series' raw bytes,
+and the helper sends each outcome back as soon as it is done. The caller
+adds both in chunk order, the serial loop's left fold, so every result is
 bit-identical whether a run has one CPU or two.
 
 The parameters are one table of ten named arrays, spelled out only in
@@ -193,9 +194,14 @@ def windowed_loss(tape: Tape, net: dict[str, Var], series: Var,
 
 
 # Windows per tape in ``windowed_objective``. A fixed constant, so results
-# do not depend on the machine; at 512 windows the ``lstm`` op's
-# [4, S*B, h] working arrays stay in cache.
-CHUNK_WINDOWS = 512
+# do not depend on the machine. Each chunk pays a fixed cost (two ``lstm``
+# ops of about 100 numpy calls, 11 leaf copies and the tape bookkeeping) of
+# about 0.43 ms, plus 1.45 us per window in float32 at hidden 16: 38 % of a
+# 512-window chunk. 1000 is half the windows of the reference T=2000, so
+# inside ``chunk_helper()`` the helper and the caller each take one of its
+# two chunks; 2048 windows would grow the ``lstm`` arena, sized by the
+# largest chunk, by 15-18 % of the process's peak RSS.
+CHUNK_WINDOWS = 1000
 
 
 def _chunk(params: dict[str, np.ndarray], series: np.ndarray, seq_len: int,
@@ -423,18 +429,19 @@ def windowed_objective(params: AutoencoderParams, series: np.ndarray, seq_len: i
     fresh working arrays per chunk, glibc handed the freed memory back to
     the kernel and the next chunk faulted it in again: 690-850 minor
     faults per float64 training update (T=2000, hidden 16, six datasets)
-    and 2700-5800 per 4-epoch T=8000 reconstruction. With the arena, a
-    call after the first of a process takes a median of 0-1 faults at
-    T=2000, and 46 serially at T=8000. The first call allocates the arena,
-    610-760 faults, and the helper's fork adds about 850 to the caller's
+    and 2700-5800 per 4-epoch T=8000 reconstruction (512-window chunks).
+    With the arena, a call after the first of a process takes a median of
+    0 faults serially and 3-6 inside a helper scope, at T=2000 and at
+    T=8000. The first call, which allocates the arena, takes about 1,280
+    faults serially, and the helper's fork adds about 850 to the caller's
     first call in a scope: the caller's copy-on-write of the pages it
     shares with the new process. So in a fresh process a 30-update
-    ``train`` call takes 1,720-1,740 faults in the caller (718 serially),
-    a 20-epoch T=2000 reconstruction 1,660 (652), and a 4-epoch T=8000
-    reconstruction 2,360-2,380 (1,300). The helper takes 1,630-1,660
-    faults of its own in either T=2000 scope and 1,690-1,720 in the T=8000
-    one (getrusage, suite seed 7, hidden 16, one BLAS thread, float32
-    series; a float64 series took 1.4-1.9 times as many).
+    ``train`` call takes 2,240-2,270 faults in the caller (1,170
+    serially), a 20-epoch T=2000 reconstruction 2,250 (1,125), and a
+    4-epoch T=8000 reconstruction 2,710 (1,570). The helper takes
+    2,270-2,280 faults of its own in either T=2000 scope and 2,320 in the
+    T=8000 one (getrusage, suite seed 7, hidden 16, one BLAS thread,
+    float32 series).
     """
     if wrt not in ("params", "series", None):
         raise ValueError(f"wrt must be 'params', 'series' or None, got {wrt!r}")

@@ -1,12 +1,14 @@
 """Circuit simulator tests: physics invariants, integrator order, waveforms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from tracefill.circuit import (
     FEATURES,
+    SUITE_PARAMS,
     CircuitParams,
     Dc,
     SimulationError,
@@ -21,6 +23,58 @@ from tracefill.circuit import (
 )
 
 FAST = CircuitParams(r1=1.0, l=1e-6, c0=2e-8, v0=5.0, rload=10.0)
+
+
+def point_source(term, t: float) -> float:
+    """One term at one time, as a plain float, the way a per-point loop samples it."""
+    if isinstance(term, Dc):
+        return term.level
+    if isinstance(term, Sine):
+        return term.amplitude * math.sin(2.0 * math.pi * term.frequency * t + term.phase)
+    tau = t % term.period
+    if tau < term.rise:
+        return term.low + (term.high - term.low) * tau / term.rise
+    tau -= term.rise
+    if tau < term.high_time:
+        return term.high
+    tau -= term.high_time
+    if tau < term.fall:
+        return term.high - (term.high - term.low) * tau / term.fall
+    return term.low
+
+
+def point_by_point(params, spec, dt, n_samples, t0=0.0):
+    """``simulate``'s rows from a loop that samples the source at each point."""
+
+    def source(t):
+        return float(sum(point_source(term, t) for term in spec.terms))
+
+    def derivatives(u1, i1, u2):
+        return ((u1 - params.r1 * i1 - u2) / params.l,
+                (i1 - u2 / params.rload) / capacitance(u2, params))
+
+    rows = np.empty((n_samples, 4))
+    i1, u2 = 0.0, 0.0
+    for k in range(n_samples):
+        t = t0 + k * dt
+        u1 = source(t)
+        rows[k] = (u1, i1, u2, u2 / params.rload)
+        if k == n_samples - 1:
+            break
+        try:
+            k1i, k1u = derivatives(u1, i1, u2)
+            u1_mid = source(t + 0.5 * dt)
+            k2i, k2u = derivatives(u1_mid, i1 + 0.5 * dt * k1i, u2 + 0.5 * dt * k1u)
+            k3i, k3u = derivatives(u1_mid, i1 + 0.5 * dt * k2i, u2 + 0.5 * dt * k2u)
+            k4i, k4u = derivatives(source(t + dt), i1 + dt * k3i, u2 + dt * k3u)
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise SimulationError(
+                f"state diverged during step {k} (t={t:g}): {exc}") from exc
+        i1 += dt * (k1i + 2.0 * k2i + 2.0 * k3i + k4i) / 6.0
+        u2 += dt * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
+        if not (np.isfinite(i1) and np.isfinite(u2)):
+            raise SimulationError(f"non-finite state after step {k} (t={t + dt:g})")
+    return rows
 
 
 class TestComponents:
@@ -61,6 +115,23 @@ class TestWaveforms:
     def test_trapezoid_segments_must_fit_period(self):
         with pytest.raises(ValueError):
             Trapezoid(low=0.0, high=1.0, rise=0.5, high_time=0.5, fall=0.5, period=1.0)
+
+    def test_arrays_give_the_bits_of_point_calls(self):
+        # every kind of term, sampled on an array and point by point, at
+        # times on and off the trapezoid's corners; zero-length segments
+        # select no division by zero
+        terms = [Dc(-1.25), Sine(2.5, 3.1e5, 0.9),
+                 Trapezoid(-2.0, 3.0, 4e-7, 1.2e-6, 5e-7, 3e-6),
+                 Trapezoid(-1.0, 1.0, 0.0, 1e-6, 0.0, 2e-6)]
+        t = 7.3e-8 + np.arange(2000) * 1e-8
+        t = np.concatenate([t, [0.0, 4e-7, 1.6e-6, 2.1e-6, 3e-6]])
+        for term in terms:
+            got = term(t)
+            assert got.shape == t.shape
+            np.testing.assert_array_equal(got, [point_source(term, x) for x in t.tolist()])
+        spec = WaveformSpec(tuple(terms))
+        np.testing.assert_array_equal(spec(t), [spec(x) for x in t.tolist()])
+        assert type(spec(1e-7)) is float
 
     def test_waveform_sums_terms(self):
         spec = WaveformSpec((Dc(1.0), Sine(2.0, 1e3, 0.0)))
@@ -150,6 +221,32 @@ class TestSimulation:
         params = CircuitParams(r1=1.0, l=1e-9, c0=1e-9, v0=5.0, rload=10.0)
         with pytest.warns(UserWarning, match="coarse"), pytest.raises(SimulationError):
             simulate(params, WaveformSpec((Dc(100.0),)), 1e-3, 200)
+
+    @pytest.mark.parametrize("t0", [0.0, 3.7e-7])
+    def test_bit_identical_to_sampling_point_by_point(self, t0):
+        spec = WaveformSpec((Dc(0.7), Sine(3.0, 3e5, 0.4),
+                             Trapezoid(-2.0, 4.0, 4e-7, 1.2e-6, 5e-7, 3e-6)))
+        data = simulate(FAST, spec, 1e-8, 3000, t0)
+        assert data.t0 == t0
+        np.testing.assert_array_equal(data.values, point_by_point(FAST, spec, 1e-8, 3000, t0))
+        for entry in generate_suite(seed=7, n_samples=500).entries:
+            np.testing.assert_array_equal(
+                simulate(SUITE_PARAMS, entry.waveform, 1e-8, 500, t0).values,
+                point_by_point(SUITE_PARAMS, entry.waveform, 1e-8, 500, t0))
+
+    @pytest.mark.parametrize("params,spec,dt", [
+        (CircuitParams(r1=1.0, l=1e-9, c0=1e-9, v0=5.0, rload=10.0),
+         WaveformSpec((Dc(1.0),)), 3e-8),
+        (CircuitParams(), WaveformSpec((Dc(math.nan),)), 1e-9),
+    ], ids=["overflow", "non-finite state"])
+    def test_divergence_messages_match_sampling_point_by_point(self, params, spec, dt):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the coarse-grid warning
+            with pytest.raises(SimulationError) as want:
+                point_by_point(params, spec, dt, 50, 2e-9)
+            with pytest.raises(SimulationError) as got:
+                simulate(params, spec, dt, 50, 2e-9)
+        assert str(got.value) == str(want.value)
 
     def test_initial_state_is_zero(self):
         data = simulate(FAST, WaveformSpec((Dc(2.0),)), 1e-8, 10)

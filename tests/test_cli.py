@@ -629,6 +629,44 @@ class TestUnreadablePaths:
         assert expected.format(**paths) in capsys.readouterr().err
 
 
+class TestOutputPathsBeforeTheWork:
+    """A path that cannot be written exits 2 before any training or descent runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the work ran before its output path was checked")
+
+        monkeypatch.setattr("tracefill.cli.train", fail)
+        monkeypatch.setattr("tracefill.cli.reconstruct", fail)
+
+    @pytest.mark.parametrize("argv,expected", [
+        ("train --data {data} --out {dir} --epochs 1", "{dir} is a directory"),
+        ("train --data {data} --out {nowhere}/model.json --epochs 1",
+         "{nowhere} does not exist"),
+        ("train --data {data} --out {file}/model.json --epochs 1",
+         "{file} is not a directory"),
+        ("train --data {data} --out {out}.json --history {dir} --epochs 1",
+         "{dir} is a directory"),
+        ("train --data {data} --out {out}.json --history {nowhere}/h.csv --epochs 1",
+         "{nowhere} does not exist"),
+        ("reconstruct --model {model} --data {test} --missing u2 --epochs 1 --out {file}",
+         "{file}"),
+    ], ids=["train --out DIR", "train --out NO_PARENT", "train --out FILE_PARENT",
+            "train --history DIR", "train --history NO_PARENT", "reconstruct --out FILE"])
+    def test_exits_validation_naming_the_path(self, pipeline, tmp_path, capsys,
+                                              argv, expected):
+        _, data_dir, model_path, *_ = pipeline
+        paths = {"data": data_dir, "model": model_path, "test": data_dir / "test_1.csv",
+                 "dir": tmp_path / "a_dir", "file": tmp_path / "a_file",
+                 "nowhere": tmp_path / "nowhere", "out": tmp_path / "out"}
+        paths["dir"].mkdir()
+        paths["file"].write_text("x")
+        assert main([part.format(**paths) for part in argv.split()]) == EXIT_VALIDATION
+        assert expected.format(**paths) in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestGradcheck:
     def test_passes_and_prints_per_op_lines(self, capsys):
         assert main(["gradcheck", "--samples", "2"]) == EXIT_OK

@@ -301,8 +301,9 @@ class TestWindowedObjective:
         return params, series
 
     def test_chunks_cover_the_windows_once(self, monkeypatch):
-        # 1998 windows: chunks of 512, 512, 512 and 462, each with the
-        # seq_len - 1 samples of overlap its last windows need
+        # 1998 windows in chunks of CHUNK_WINDOWS, the last one short, each
+        # with the seq_len - 1 samples of overlap its last windows need and
+        # the weights times its share of the windows
         seen = []
 
         def recording(tape, net, series, seq_len, weights):
@@ -312,8 +313,11 @@ class TestWindowedObjective:
         monkeypatch.setattr(nn, "windowed_loss", recording)
         params, series = self.setup(2000)
         windowed_objective(params, series, 3, self.WEIGHTS, "series")
-        assert [rows for rows, _ in seen] == [514, 514, 514, 464]
-        assert [w for _, w in seen] == [1.5 * (512 / 1998)] * 3 + [1.5 * (462 / 1998)]
+        full, last = divmod(1998, nn.CHUNK_WINDOWS)
+        sizes = [nn.CHUNK_WINDOWS] * full + ([last] if last else [])
+        assert [rows for rows, _ in seen] == [size + 2 for size in sizes]
+        assert [w for _, w in seen] == [1.5 * (size / 1998) for size in sizes]
+        assert sum(sizes) == 1998 and len(sizes) > 1
 
     @pytest.mark.parametrize("wrt", ["params", "series"])
     def test_gradients_match_one_tape(self, wrt):
@@ -332,12 +336,12 @@ class TestWindowedObjective:
         assert loss == pytest.approx(ref_loss, rel=1e-12)
         np.testing.assert_allclose(out, ref, rtol=0.0, atol=1e-14)
 
-    @pytest.mark.parametrize("T", [3, 40, 514])
+    @pytest.mark.parametrize("T", [3, 40, 514, nn.CHUNK_WINDOWS + 2])
     @WRT_AND_DTYPE
     def test_one_chunk_is_bit_identical_to_one_tape(self, T, wrt, dtype):
-        # at most CHUNK_WINDOWS windows: one chunk with share 1.0; a float32
-        # series runs the kernel in float32 on either side, and the result
-        # comes back float64
+        # at most CHUNK_WINDOWS windows (exactly that many at the largest
+        # T): one chunk with share 1.0; a float32 series runs the kernel in
+        # float32 on either side, and the result comes back float64
         params, series = self.setup(T)
         series = series.astype(dtype)
         loss, got = windowed_objective(params, series, 3, self.WEIGHTS, wrt)
@@ -349,7 +353,7 @@ class TestWindowedObjective:
 
     @pytest.mark.parametrize("T", [40, 2000])
     def test_parameter_gradients_come_back_in_storage_layout(self, T):
-        # one chunk (T=40) or four added in place (T=2000): each gradient is
+        # one chunk (T=40) or two added in place (T=2000): each gradient is
         # a C-contiguous array of its parameter's shape, bit for bit the sum
         # of backward over leaves that lift_params makes of the stored arrays
         params, series = self.setup(T)
@@ -627,10 +631,11 @@ class TestChunkHelper:
     @pytest.mark.parametrize("end", ["own chunk raises", "loss is not finite",
                                      "helper's loss is not finite"])
     def test_an_early_end_leaves_the_pipe_in_step(self, monkeypatch, end):
-        # an early end at the caller's chunk leaves the helper running its
-        # third chunk, and one at the helper's leaves its end marker in the
-        # pipe; a stale message would be read as the next call's first
-        params, series = self.setup(2000)
+        # three chunks: an early end at the caller's chunk leaves the helper
+        # running its second one, the third chunk, and one at the helper's
+        # leaves its end marker in the pipe; a stale message would be read
+        # as the next call's first
+        params, series = self.setup(3 * nn.CHUNK_WINDOWS)
         serial = windowed_objective(params, series, 3, self.WEIGHTS, "series")
         with nn.chunk_helper():
             windowed_objective(params, series, 3, self.WEIGHTS, "series")  # forks
@@ -642,7 +647,7 @@ class TestChunkHelper:
             else:
                 bad = series.copy()
                 # the second chunk's loss overflows, or the first's, the helper's
-                bad[520 if end == "loss is not finite" else 10] = 1e300
+                bad[nn.CHUNK_WINDOWS + 8 if end == "loss is not finite" else 10] = 1e300
                 loss, grad = windowed_objective(params, bad, 3, self.WEIGHTS, "series")
                 assert not np.isfinite(loss) and grad is None
             assert_same_bits(windowed_objective(params, series, 3, self.WEIGHTS, "series"),
@@ -682,7 +687,7 @@ class TestChunkHelper:
 
     @pytest.mark.parametrize("end", ["chunk raises", "loss is not finite"])
     def test_the_helper_stops_at_its_own_early_end(self, monkeypatch, tmp_path, end):
-        # four chunks; the call ends at the helper's first, so the helper
+        # three chunks; the call ends at the helper's first, so the helper
         # never runs the third, and the caller runs only the second
         log = tmp_path / "chunks.log"
         chunk = nn._chunk
@@ -693,7 +698,7 @@ class TestChunkHelper:
             return chunk(*job)
 
         monkeypatch.setattr(nn, "_chunk", logged)  # before the fork: both processes log
-        params, series = self.setup(2000)
+        params, series = self.setup(3 * nn.CHUNK_WINDOWS)
         with nn.chunk_helper():
             if end == "chunk raises":
                 nan = AutoencoderParams.from_dict({k: v * np.nan for k, v in params.items()})
@@ -705,6 +710,27 @@ class TestChunkHelper:
                 assert not np.isfinite(loss) and grad is None
             helper = nn._helper.process.pid
         assert sorted(log.read_text().split()) == sorted([str(helper), str(os.getpid())])
+
+    def test_the_helper_and_the_caller_take_one_chunk_each_at_t2000(self, monkeypatch,
+                                                                     tmp_path):
+        # 1998 windows are two chunks: the helper runs the first and its
+        # seq_len - 1 samples of overlap, the caller the rest
+        log = tmp_path / "rows.log"
+        outcomes = nn._outcomes
+
+        def logged(*args):
+            for rows, outcome in outcomes(*args):
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()} {rows.start} {rows.stop}\n")
+                yield rows, outcome
+
+        monkeypatch.setattr(nn, "_outcomes", logged)  # before the fork: both processes log
+        params, series = self.setup(2000)
+        with nn.chunk_helper():
+            windowed_objective(params, series, 3, self.WEIGHTS, "params")
+            helper = nn._helper.process.pid
+        assert sorted(log.read_text().splitlines()) == sorted([
+            f"{helper} 0 1002", f"{os.getpid()} 1000 2000"])
 
     def test_a_dead_helper_raises(self):
         params, series = self.setup(2000)
