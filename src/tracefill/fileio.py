@@ -1,17 +1,34 @@
 """On-disk formats: no other module knows how a file is laid out.
 
-CSV tables, each written by ``_write_csv``: datasets and reconstruction
-results (``time_s,<feature>...``), the training history
-(``epoch,dataset_index,loss``), loss curves (``epoch,loss``), the evaluation
-report (``column,truth_feature,mse,rmse,rel_rmse``) and spectra
-(``frequency_hz,magnitude``).
+CSV tables: datasets and reconstruction results (``time_s,<feature>...``),
+the training history (``epoch,dataset_index,loss``), loss curves
+(``epoch,loss``), the evaluation report (``column,truth_feature,mse,rmse,
+rel_rmse``) and spectra (``frequency_hz,magnitude``).
 
 JSON files, each read by ``read_json``: the model and the suite manifest,
 both written by ``write_json``, and the ``simulate --config`` file.
 
-Floats reach the writers as Python floats, whose ``str`` is ``repr``: the
-shortest text that parses back to the identical double, so every file
-round-trips bit for bit and deterministic runs produce byte-identical outputs.
+Floats are written as ``repr``: the shortest text that parses back to the
+identical double, so every file round-trips bit for bit and deterministic
+runs produce byte-identical outputs.
+
+Numeric tables move in blocks of ``_BLOCK_ROWS`` rows, so neither direction
+holds a Python float per cell of the whole table:
+
+- ``_write_table``, behind every writer but the report's, writes the header
+  with ``csv.writer``, so names keep their quoting, and each block of the
+  body with one ``%`` format of ``%r`` cells. ``csv.writer`` writes a float
+  as its ``repr`` too, so the bytes are the ones it would write, ``nan``,
+  ``inf`` and ``-0.0`` included. Integer columns (epochs, dataset indices)
+  use ``%d``, which is their ``str``.
+- The report has string cells that may need quoting, so it keeps
+  ``csv.writer``.
+- ``read_dataset_csv`` parses with ``csv.reader``, so quoting, the three
+  line endings and blank rows are treated as ``csv`` treats them. It checks
+  each row's field count as it comes, and appends each block's cells,
+  through ``float``, to one growing ``array('d')`` that becomes the table
+  without a copy. Only when ``float`` raises is the block scanned again
+  row by row, to name the line of the first bad cell.
 """
 
 from __future__ import annotations
@@ -19,7 +36,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import asdict, fields
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,6 +52,8 @@ from .training import HistoryRow, TrainedModel
 MODEL_FORMAT_VERSION = 1
 TIME_COLUMN = "time_s"
 REL_TIME_TOL = 1e-9
+# rows per block of a numeric table, read or written
+_BLOCK_ROWS = 1024
 
 
 class FormatError(ValueError):
@@ -45,49 +66,82 @@ def _check_unique(path: str | Path, names: Sequence[str]) -> None:
         raise FormatError(f"{path}: feature name {repeated[0]!r} repeats")
 
 
-def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable) -> None:
+def _write_table(path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray],
+                 cells: Sequence[str] | None = None) -> None:
+    """``header``, then the rows of ``columns`` side by side, as ``csv.writer`` would.
+
+    ``columns`` are 1-D or 2-D arrays of equal length; ``cells`` gives one
+    ``%`` format per table column, ``%r`` for each by default.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerow(header)
+        line = ",".join(cells or ["%r"] * len(header)) + "\r\n"
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = np.column_stack([col[start:start + _BLOCK_ROWS] for col in columns])
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_dataset_csv(path: str | Path, data: TimeSeriesSet) -> None:
-    _write_csv(path, [TIME_COLUMN, *data.feature_names],
-               np.column_stack([data.times(), data.values]).tolist())
+    _write_table(path, [TIME_COLUMN, *data.feature_names], [data.times(), data.values])
+
+
+def _append_floats(path: str | Path, values: array, rows: list[list[str]],
+                   first_line: int) -> None:
+    """Append the cells of ``rows``, which start at line ``first_line``, to ``values``."""
+    try:
+        values.extend(map(float, chain.from_iterable(rows)))
+    except ValueError:
+        # name the line of the first bad cell, as a row-by-row parse would
+        for lineno, row in enumerate(rows, start=first_line):
+            try:
+                [float(v) for v in row]
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
+        raise
+
+
+def _read_table(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """The header and the ``[rows, columns]`` float64 body of a dataset CSV."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise FormatError(f"{path}: empty file") from None
+        if not header or header[0] != TIME_COLUMN:
+            raise FormatError(
+                f"{path}: first column must be {TIME_COLUMN!r}, got {header[:1]}"
+            )
+        if len(header) < 2:
+            raise FormatError(f"{path}: no feature columns")
+        _check_unique(path, header[1:])
+        values, rows, first_line = array("d"), [], 2
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    # an earlier bad cell is named first
+                    _append_floats(path, values, rows, first_line)
+                    raise FormatError(
+                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                rows.append(row)
+                if len(rows) == _BLOCK_ROWS:
+                    _append_floats(path, values, rows, first_line)
+                    rows, first_line = [], lineno + 1
+        except (UnicodeDecodeError, csv.Error):
+            _append_floats(path, values, rows, first_line)  # an earlier bad cell first
+            raise
+    _append_floats(path, values, rows, first_line)
+    if len(values) < 2 * len(header):
+        raise FormatError(f"{path}: need at least two samples")
+    return header, np.frombuffer(values).reshape(-1, len(header))
 
 
 def read_dataset_csv(path: str | Path) -> TimeSeriesSet:
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise FormatError(f"{path}: empty file") from None
-            if not header or header[0] != TIME_COLUMN:
-                raise FormatError(
-                    f"{path}: first column must be {TIME_COLUMN!r}, got {header[:1]}"
-                )
-            names = tuple(header[1:])
-            if not names:
-                raise FormatError(f"{path}: no feature columns")
-            _check_unique(path, names)
-            rows = []
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(header):
-                    raise FormatError(
-                        f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                    )
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{lineno}: {exc}") from None
+        header, arr = _read_table(path)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid text: {exc}") from None
-    if len(rows) < 2:
-        raise FormatError(f"{path}: need at least two samples")
-    arr = np.array(rows)
     finite = np.isfinite(arr)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
@@ -106,30 +160,34 @@ def read_dataset_csv(path: str | Path) -> TimeSeriesSet:
             f"{path}: time column not equidistant near row {worst + 2} "
             f"(gap {float(gaps[worst])} vs dt {float(dt)})"
         )
-    return TimeSeriesSet(names, float(times[0]), float(dt), values)
+    return TimeSeriesSet(tuple(header[1:]), float(times[0]), float(dt), values)
 
 
 def write_history_csv(path: str | Path, rows: Iterable[HistoryRow]) -> None:
-    _write_csv(path, ["epoch", "dataset_index", "loss"],
-               ((row.epoch, row.dataset_index, float(row.loss)) for row in rows))
+    table = np.array([(row.epoch, row.dataset_index, row.loss) for row in rows],
+                     dtype=np.float64).reshape(-1, 3)
+    _write_table(path, ["epoch", "dataset_index", "loss"], [table], ["%d", "%d", "%r"])
 
 
 def write_loss_curve_csv(path: str | Path, losses: Sequence[float]) -> None:
-    _write_csv(path, ["epoch", "loss"], enumerate(map(float, losses)))
+    _write_table(path, ["epoch", "loss"],
+                 [np.arange(len(losses)), np.asarray(losses, dtype=np.float64)],
+                 ["%d", "%r"])
 
 
 def write_report_csv(path: str | Path,
                      rows: Iterable[tuple[str, FeatureReport]]) -> None:
     """One row per result column and the truth feature it was scored on."""
-    _write_csv(path, ["column", "truth_feature", "mse", "rmse", "rel_rmse"],
-               ((column, rep.name, rep.mse, rep.rmse, rep.rel_rmse)
-                for column, rep in rows))
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["column", "truth_feature", "mse", "rmse", "rel_rmse"])
+        writer.writerows((column, rep.name, rep.mse, rep.rmse, rep.rel_rmse)
+                         for column, rep in rows)
 
 
 def write_spectrum_csv(path: str | Path, freqs: np.ndarray,
                        mags: np.ndarray) -> None:
-    _write_csv(path, ["frequency_hz", "magnitude"],
-               np.column_stack([freqs, mags]).tolist())
+    _write_table(path, ["frequency_hz", "magnitude"], [freqs, mags])
 
 
 def read_json(path: str | Path) -> dict:
@@ -224,6 +282,28 @@ _MODEL_FIELDS = {
 }
 
 
+def _check_arrays(path: str | Path, params: dict) -> None:
+    """Each parameter array's JSON types, which numpy would otherwise coerce.
+
+    A shape entry of -1 would be inferred, and data entries true or false
+    would load as 1.0 or 0.0.
+    """
+    for name, obj in params.items():
+        if not isinstance(obj, dict):
+            continue  # fails in load_model
+        shape, data = obj.get("shape"), obj.get("data")
+        if not (type(shape) is list and all(type(n) is int and n > 0 for n in shape)):
+            raise FormatError(f"{path}: params.{name}.shape must be a list of positive "
+                              f"JSON integers, got {shape!r}")
+        if type(data) is not list:
+            raise FormatError(f"{path}: params.{name}.data must be a list of JSON "
+                              f"numbers, got {type(data).__name__}")
+        if not set(map(type, data)) <= set(_NUMBER):
+            k = next(k for k, v in enumerate(data) if type(v) not in _NUMBER)
+            raise FormatError(f"{path}: params.{name}.data must be a list of JSON "
+                              f"numbers, got {data[k]!r} at index {k}")
+
+
 def load_model(path: str | Path) -> TrainedModel:
     doc = read_json(path)
     version = doc.get("format_version")
@@ -237,6 +317,8 @@ def load_model(path: str | Path) -> TrainedModel:
         # a block that is no object fails below
         if isinstance(owner, dict) and not ok(value := owner.get(where[-1])):
             raise FormatError(f"{path}: {'.'.join(where)} must be {what}, got {value!r}")
+    if isinstance(doc.get("params"), dict):
+        _check_arrays(path, doc["params"])
     try:
         net = NetConfig(**doc["net"])
         names = tuple(doc["feature_names"])

@@ -440,10 +440,15 @@ class TestReconstruct:
             (("feature_names", 0), 1, "feature_names must be a list of strings"),
             # read as seed 1 before the training block was checked
             (("training", "seed"), 1.7, "training.seed must be a JSON integer, got 1.7"),
+            # loaded as 1.0, and as a shape (64, 4) numpy inferred
+            (("params", "encoder.bias", "data", 3), True,
+             "params.encoder.bias.data must be a list of JSON numbers, got True at index 3"),
+            (("params", "encoder.wx", "shape", 0), -1,
+             "params.encoder.wx.shape must be a list of positive JSON integers, got [-1, 4]"),
         ],
         ids=["nan-param", "inf-param", "nan-mins", "maxs-below-mins", "constant-flag",
              "repeated-name", "float-seq_len", "bool-seq_len", "float-hidden",
-             "int-name", "float-seed"],
+             "int-name", "float-seed", "bool-param-data", "inferred-param-shape"],
     )
     def test_corrupt_model_values_fail_validation(self, pipeline, tmp_path, capsys,
                                                   where, value, message):

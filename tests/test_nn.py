@@ -520,6 +520,19 @@ class TestLSTMArena:
         for grad_after, grad in zip(grads_after, grads_before, strict=True):
             np.testing.assert_array_equal(grad_after, grad)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_buffers_start_on_a_cache_line(self, monkeypatch, dtype):
+        # at hidden 16 in float32 a row of a [B, h] block is one 64-byte line
+        # only on an aligned base; numpy alone aligns to 16 bytes
+        monkeypatch.setattr(autodiff._arena, "buffers", {})
+        params = init_params(NetConfig(n_features=4, seq_len=3, lstm_hidden=16,
+                                       latent_dim=2), seed=4)
+        series = self.setup(2000)[1].astype(dtype)
+        for wrt in ("params", "series"):
+            windowed_objective(params, series, 3, self.WEIGHTS, wrt)
+        offsets = {key: buf.ctypes.data % 64 for key, buf in autodiff._arena.buffers.items()}
+        assert len(offsets) > 10 and not any(offsets.values()), offsets
+
     def test_second_call_reuses_the_arrays_of_the_first(self, monkeypatch):
         calls = record_lstm(monkeypatch)
         monkeypatch.setattr(autodiff._arena, "buffers", {})
